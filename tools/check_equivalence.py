@@ -6,8 +6,9 @@ dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five registered
-migration schemes plus one fault-injected incremental-retry run — and
-compares every field of every report (floats included, exactly) against
+migration schemes, one fault-injected incremental-retry run, sharded
+cluster waves, a cross-rack drain under guest dirtiers and a bonnie
+TPM/IM round trip — and compares every field of every report (floats included, exactly) against
 ``tests/fixtures/equivalence.json``.
 
 Usage::
@@ -35,7 +36,7 @@ FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "tests",
                             "fixtures", "equivalence.json")
 
 #: Bump when scenarios themselves change (forces an explicit re-capture).
-SCENARIO_VERSION = 1
+SCENARIO_VERSION = 2
 
 
 def _report_dict(report) -> dict:
@@ -180,6 +181,72 @@ def _run_sharded_parallel() -> dict:
     return inline
 
 
+#: Guest write period of the cross-rack drain's dirtiers (sim seconds).
+_DIRTY_TICK = 0.05
+
+
+def _dirtier(env, domain, base: int, pages, phase: float):
+    """Light guest load on a moving VM: 4 blocks and a few pages every
+    :data:`_DIRTY_TICK`, until the VM is handed to another shard."""
+    yield env.timeout(phase)
+    while domain.env is env:
+        yield from domain.write(base, 4)
+        if domain.env is env and domain.running:
+            domain.touch_memory(pages)
+        yield env.timeout(_DIRTY_TICK)
+
+
+def _run_xrack_drain() -> dict:
+    """Every VM of rack 0 (32 of them) moves cross-rack, round-robin
+    over a seeded order of the other racks' hosts, while its guest keeps
+    dirtying blocks and pages: surrogate transplant, multi-hop fabric
+    contention, and a guest contending with the pipeline on one disk.
+    Same-instant grants, deliveries and guest writes all race here, so
+    any change to their relative dispatch order shows in the fixture."""
+    import numpy as np
+
+    from repro.cluster import build_sharded_cluster
+
+    cluster = build_sharded_cluster(nracks=4, hosts_per_rack=8,
+                                    vms_per_host=4, nblocks=4096,
+                                    npages=256, max_concurrent=8, seed=0)
+    rng = np.random.default_rng(0)
+    rack0 = cluster.shards[0]
+    env = rack0.env
+    vms = sorted((d for h in rack0.hosts for d in h.domains),
+                 key=lambda d: d.domain_id)
+    others = [h.name for shard in cluster.shards[1:] for h in shard.hosts]
+    others = [others[i] for i in rng.permutation(len(others))]
+    moves = []
+    for i, vm in enumerate(vms):
+        base = int(rng.integers(0, 4096 - 4))
+        pages = np.sort(rng.choice(256, 8, replace=False))
+        phase = float(rng.uniform(0.0, _DIRTY_TICK))
+        env.process(_dirtier(env, vm, base, pages, phase),
+                    name=f"dirtier:{vm.name}")
+        moves.append((vm, others[i % len(others)]))
+    jobs = [cluster.submit(vm, dest) for vm, dest in moves]
+    cluster.drain(jobs)
+    cluster.assert_conserved()
+    return {"reports": [_report_dict(job.report) for job in jobs],
+            "makespan": cluster.makespan(jobs),
+            "ledger": cluster.link_ledger()}
+
+
+def _run_bonnie_roundtrip() -> dict:
+    """Table II in miniature: bonnie TPM out, a dwell on the
+    destination, IM back — the write-heavy guest contends with the
+    transfer pipeline on one disk throughout."""
+    from repro.analysis.experiments import run_table2_experiment
+
+    primary, back, bed = run_table2_experiment(
+        "bonnie", scale=0.01, seed=0, warmup=2.0, dwell=3.0)
+    return {"primary": _report_dict(primary),
+            "back": _report_dict(back),
+            "final_now": bed.env.now,
+            "workload_bytes": bed.workload.bytes_processed}
+
+
 def scenarios() -> dict:
     """Name -> thunk for every fixture scenario (deterministic order)."""
     from repro.analysis.experiments import BASELINE_SCHEMES
@@ -191,6 +258,8 @@ def scenarios() -> dict:
     table["fault-retry:incremental"] = _run_fault_retry
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
     table["cluster:sharded-parallel-vs-inline"] = _run_sharded_parallel
+    table["cluster:xrack-drain-dirtied"] = _run_xrack_drain
+    table["roundtrip:bonnie-tpm-im"] = _run_bonnie_roundtrip
     return table
 
 
