@@ -160,6 +160,11 @@ class BlockStreamer:
 
         env = self.env
         cfg = self.config
+        # Validate the whole batch once against both devices: every chunk
+        # below is a view of this one array, so the per-chunk export and
+        # import skip their own bounds reduce.
+        indices = self.src_vbd.validate_indices(indices)
+        self.dst_vbd.validate_indices(indices)
         block_size = self.src_vbd.block_size
         prio = cfg.migration_disk_priority
         chunks = split_chunks(indices, cfg.chunk_blocks)
@@ -174,7 +179,8 @@ class BlockStreamer:
             for chunk in chunks:
                 yield from self.src_disk.read(chunk.size * block_size,
                                               priority=prio)
-                stamps, data = self.src_vbd.export_blocks(chunk)
+                stamps, data = self.src_vbd.export_blocks(chunk,
+                                                          validated=True)
                 yield ready.put(BlockDataMsg(chunk, stamps, data, block_size))
 
         def sender(env):
@@ -183,12 +189,16 @@ class BlockStreamer:
                 msg = yield ready.get()
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        blocks=msg.nblocks)
+                tracer = env.tracer
+                span = (tracer.begin("chunk", category="transfer",
+                                     blocks=msg.nblocks)
+                        if tracer.enabled else None)
                 yield from self.channel.send(msg, category=category,
                                              limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
+                wire = msg.wire_nbytes
+                if span is not None:
+                    tracer.end(span, bytes=wire)
+                sent_bytes += wire
             return sent_bytes
 
         def writer(env):
@@ -196,7 +206,8 @@ class BlockStreamer:
                 msg = yield self.channel.recv()
                 yield from self.dst_disk.write(msg.nblocks * block_size,
                                                priority=prio)
-                self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
+                self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data,
+                                           validated=True)
                 self._confirmed += 1
                 if self.chunk_written is not None:
                     self.chunk_written(msg.indices)
@@ -234,7 +245,8 @@ class BlockStreamer:
             for k, chunk in enumerate(chunks):
                 yield from self.src_disk.read(chunk.size * block_size,
                                               priority=prio)
-                stamps, data = self.src_vbd.export_blocks(chunk)
+                stamps, data = self.src_vbd.export_blocks(chunk,
+                                                          validated=True)
                 yield buffers[k % n].put(
                     BlockDataMsg(chunk, stamps, data, block_size))
 
@@ -245,11 +257,15 @@ class BlockStreamer:
                 msg = yield buffers[lane].get()
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        blocks=msg.nblocks, lane=lane)
+                tracer = env.tracer
+                span = (tracer.begin("chunk", category="transfer",
+                                     blocks=msg.nblocks, lane=lane)
+                        if tracer.enabled else None)
                 yield from chan.send(msg, category=category, limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
+                wire = msg.wire_nbytes
+                if span is not None:
+                    tracer.end(span, bytes=wire)
+                sent_bytes += wire
             return sent_bytes
 
         def writer(env, lane):
@@ -258,7 +274,8 @@ class BlockStreamer:
                 msg = yield chan.recv()
                 yield from self.dst_disk.write(msg.nblocks * block_size,
                                                priority=prio)
-                self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data)
+                self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data,
+                                           validated=True)
                 flags[lane + i * n] = True
                 if self.chunk_written is not None:
                     self.chunk_written(msg.indices)
@@ -333,12 +350,16 @@ class PageStreamer:
                 msg = MemoryPagesMsg(chunk, stamps, self.src_mem.page_size)
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        pages=msg.npages)
+                tracer = env.tracer
+                span = (tracer.begin("chunk", category="transfer",
+                                     pages=msg.npages)
+                        if tracer.enabled else None)
                 yield from self.channel.send(msg, category=category,
                                              limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
+                wire = msg.wire_nbytes
+                if span is not None:
+                    tracer.end(span, bytes=wire)
+                sent_bytes += wire
             return sent_bytes
 
         recv_proc = env.process(receiver(env), name="pages:recv")
@@ -373,11 +394,15 @@ class PageStreamer:
                 msg = MemoryPagesMsg(chunk, stamps, self.src_mem.page_size)
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
-                span = env.tracer.begin("chunk", category="transfer",
-                                        pages=msg.npages, lane=lane)
+                tracer = env.tracer
+                span = (tracer.begin("chunk", category="transfer",
+                                     pages=msg.npages, lane=lane)
+                        if tracer.enabled else None)
                 yield from chan.send(msg, category=category, limited=limited)
-                env.tracer.end(span, bytes=msg.wire_nbytes)
-                sent_bytes += msg.wire_nbytes
+                wire = msg.wire_nbytes
+                if span is not None:
+                    tracer.end(span, bytes=wire)
+                sent_bytes += wire
             return sent_bytes
 
         send_procs = [env.process(sender(env, lane),

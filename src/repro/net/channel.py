@@ -20,6 +20,7 @@ Invariants the rest of the stack relies on (see docs/TRANSFER.md):
   let a small message overtake a large one still being inflated — the
   ``_delivery_floor`` clamp forbids exactly that.  The transfer pipeline's
   fixed-count receive loops and post-copy's pull matching both assume it.
+  Delivery runs on two event callbacks, with no process per message.
 * **Exact byte accounting.**  Every wire byte lands in exactly one
   ``(channel, category)`` ledger cell, and ``link.bytes_sent`` equals the
   sum over all channels routed through that link — the cluster-level
@@ -38,7 +39,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from ..errors import NetworkError
-from ..sim import Event, Store
+from ..sim import URGENT, Event, Store, Timeout
 from .link import Link
 from .messages import Message
 from .ratelimit import NullLimiter, TokenBucket
@@ -130,19 +131,33 @@ class Channel:
             counter = by_category[category] = metrics.counter(
                 f"chan.{category}.bytes")
         counter.inc(nbytes)
-        self.env.process(self._deliver(message, decompress),
-                         name=f"{self.name}:deliver")
+        # The arrival is fixed by an URGENT event at the send instant, not
+        # here: same-instant timers and receivers depend on that queue
+        # position (tests/net/test_delivery_order.py pins the order).
+        env = self.env
+        hop = Event(env)
+        hop._value = (message, decompress)
+        hop.callbacks.append(self._depart)
+        env.schedule(hop, priority=URGENT)
 
-    def _deliver(self, message: Message, decompress_time: float = 0.0
-                 ) -> Generator:
-        arrival = self.env.now + self.link.effective_latency + decompress_time
+    def _depart(self, hop: Event) -> None:
+        """Fix the arrival time and schedule the mailbox deposit."""
+        message, decompress = hop._value
+        env = self.env
+        now = env._now
+        arrival = now + self.link.effective_latency + decompress
         # A small fast message must not overtake a large one still being
         # decompressed: clamp to the previous message's arrival.
         arrival = max(arrival, self._delivery_floor)
         self._delivery_floor = arrival
-        if arrival > self.env.now:
-            yield self.env.timeout(arrival - self.env.now)
-        yield self._mailbox.put(message)
+        if arrival > now:
+            Timeout(env, arrival - now, message).callbacks.append(
+                self._arrive)
+        else:
+            self._mailbox.put_nowait(message)
+
+    def _arrive(self, timeout: Timeout) -> None:
+        self._mailbox.put_nowait(timeout._value)
 
     # -- receiving -------------------------------------------------------
 

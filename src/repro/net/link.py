@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..errors import NetworkError
-from ..sim import Resource
+from ..sim import Resource, Timeout
 from ..units import Gbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,7 +75,11 @@ class Link:
         """
         if nbytes < 0:
             raise NetworkError(f"negative transmit size {nbytes}")
-        with self._wire.request(priority=priority) as grant:
+        # try/finally rather than the context-manager form: this runs once
+        # per message and the protocol calls are pure overhead here.
+        wire = self._wire
+        grant = wire.request(priority)
+        try:
             yield grant
             if self.faults is not None:
                 yield from self.faults.gate(self)
@@ -83,8 +87,10 @@ class Link:
                             / self.faults.bandwidth_factor(self.env.now))
             else:
                 duration = self.transmission_time(nbytes)
-            yield self.env.timeout(duration)
+            yield Timeout(self.env, duration)
             self.busy_time += duration
+        finally:
+            wire.release(grant)
         self.bytes_sent += nbytes
         metrics = self.env.metrics
         cached = self._bytes_counter

@@ -58,6 +58,8 @@ class Message:
 class BlockDataMsg(Message):
     """A batch of disk blocks (pre-copy chunk, post-copy push, or pull reply)."""
 
+    #: Block numbers (an ndarray; read several times per chunk, so the
+    #: size accessors below do not re-wrap it).
     indices: np.ndarray
     stamps: np.ndarray
     data: Optional[np.ndarray] = None
@@ -70,7 +72,7 @@ class BlockDataMsg(Message):
 
     @property
     def nblocks(self) -> int:
-        return int(np.asarray(self.indices).size)
+        return self.indices.size
 
     @property
     def payload_nbytes(self) -> int:
@@ -109,6 +111,7 @@ class PullRequestMsg(Message):
 class MemoryPagesMsg(Message):
     """A batch of guest memory pages (pre-copy round or final dirty set)."""
 
+    #: Page numbers (an ndarray, like :attr:`BlockDataMsg.indices`).
     indices: np.ndarray
     stamps: np.ndarray
     page_size: int = PAGE_SIZE
@@ -118,7 +121,7 @@ class MemoryPagesMsg(Message):
 
     @property
     def npages(self) -> int:
-        return int(np.asarray(self.indices).size)
+        return self.indices.size
 
     @property
     def payload_nbytes(self) -> int:

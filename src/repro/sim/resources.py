@@ -105,7 +105,8 @@ class Resource:
                 request._cancelled = True
                 self._ncancelled += 1
             return
-        self._grant()
+        if self._waiting:
+            self._grant()
 
     # -- internals -----------------------------------------------------------
 
@@ -165,6 +166,15 @@ class Store:
         else:
             self._putters.append((event, item))
         return event
+
+    def put_nowait(self, item: Any) -> None:
+        """Deposit ``item`` without a put event, for a producer that never
+        waits on one.  Getters fire exactly as after :meth:`put`; only the
+        unobserved put event is skipped.  The store must have room."""
+        if len(self.items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self.items.append(item)
+        self._dispatch()
 
     def get(self) -> Event:
         """Withdraw the oldest item; the returned event fires with the item."""

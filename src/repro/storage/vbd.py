@@ -154,14 +154,21 @@ class VirtualBlockDevice:
 
     # -- migration-side transfer ---------------------------------------------
 
-    def export_blocks(self, indices: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def export_blocks(self, indices: np.ndarray, *, validated: bool = False
+                      ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Capture ``(stamps, data)`` for the given block numbers.
 
         This is what the source reads when it pushes or pre-copies blocks.
+        Both arrays are fresh copies: later writes never show through.
+        ``validated=True`` skips the bounds check for indices that already
+        came out of :meth:`validate_indices` (the bulk pipeline checks a
+        whole batch once, then exports it chunk by chunk).
         """
-        indices = self._check_indices(indices)
-        stamps = self._gen[indices].copy()
-        data = self._data[indices].copy() if self._data is not None else None
+        if not validated:
+            indices = self.validate_indices(indices)
+        # Integer-array indexing already copies; no second copy needed.
+        stamps = self._gen[indices]
+        data = self._data[indices] if self._data is not None else None
         return stamps, data
 
     def import_blocks(
@@ -169,9 +176,16 @@ class VirtualBlockDevice:
         indices: np.ndarray,
         stamps: np.ndarray,
         data: Optional[np.ndarray] = None,
+        *,
+        validated: bool = False,
     ) -> None:
-        """Install transferred blocks (the destination's disk update)."""
-        indices = self._check_indices(indices)
+        """Install transferred blocks (the destination's disk update).
+
+        ``validated`` is as for :meth:`export_blocks`; the stamps shape
+        is checked either way.
+        """
+        if not validated:
+            indices = self.validate_indices(indices)
         stamps = np.asarray(stamps, dtype=np.uint64)
         if stamps.shape != indices.shape:
             raise StorageError(
@@ -183,7 +197,9 @@ class VirtualBlockDevice:
                     "byte-backed device requires data with imported blocks")
             self._data[indices] = np.asarray(data, dtype=np.uint8)
 
-    def _check_indices(self, indices: np.ndarray) -> np.ndarray:
+    def validate_indices(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as int64 block numbers; raises :class:`StorageError`
+        if any lies outside the device."""
         indices = np.asarray(indices, dtype=np.int64)
         # One reduce checks both bounds: a negative int64 reinterprets as a
         # uint64 far above any valid block number.

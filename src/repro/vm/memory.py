@@ -107,8 +107,9 @@ class GuestMemory:
     # -- migration transfer ------------------------------------------------
 
     def export_pages(self, indices: np.ndarray) -> np.ndarray:
-        """Capture page stamps for transfer."""
-        return self._gen[self._check_indices(indices)].copy()
+        """Capture page stamps for transfer (a fresh copy: integer-array
+        indexing already copies)."""
+        return self._gen[self._check_indices(indices)]
 
     def import_pages(self, indices: np.ndarray, stamps: np.ndarray) -> None:
         """Install transferred pages."""

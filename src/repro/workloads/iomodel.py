@@ -253,7 +253,7 @@ class MemoryDirtier:
             return np.empty(0, dtype=np.int64)
         hot = rng.random(count) < self.hot_prob
         out = np.empty(count, dtype=np.int64)
-        nhot = int(hot.sum())
+        nhot = np.count_nonzero(hot)
         if nhot:
             out[:nhot] = rng.integers(0, self.wss_pages, size=nhot)
         if count - nhot:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockStreamer, MigrationConfig, PageStreamer
+from repro.errors import StorageError
 from repro.net import Channel, Link
 from repro.sim import Environment
 from repro.storage import GenerationClock, PhysicalDisk, VirtualBlockDevice
@@ -97,6 +98,20 @@ class TestBlockStreamer:
 
         env.run(until=env.process(proc(env)))
         assert dst.diff_blocks(src).size == 1000 - 4
+
+    @pytest.mark.parametrize("bad", [[0, 1000], [-1, 3]])
+    def test_out_of_range_batch_rejected_before_any_io(self, env, bad):
+        src, dst, sd, dd, _ = make_disk_pair(env)
+        chan = Channel(env, Link(env, 125 * MB, 0))
+        streamer = BlockStreamer(env, sd, src, dd, dst, chan,
+                                 MigrationConfig(chunk_blocks=1))
+
+        def proc(env):
+            yield from streamer.stream(np.array(bad))
+
+        with pytest.raises(StorageError):
+            env.run(until=env.process(proc(env)))
+        assert sd.ops == 0 and chan.messages_sent == 0
 
 
 class TestPageStreamer:

@@ -152,6 +152,42 @@ class TestStore:
         env.run()
         assert ("put b", 2) in log
 
+    def test_put_nowait_wakes_getters_like_put(self, env):
+        # Two waiting getters, fed once through put() and once through
+        # put_nowait(): the same items reach them at the same instants.
+        def run(deposit):
+            env = Environment()
+            store = Store(env)
+            log = []
+
+            def getter(env, tag):
+                item = yield store.get()
+                log.append((tag, item, env.now))
+
+            def producer(env):
+                yield env.timeout(1)
+                deposit(store, "x")
+                deposit(store, "y")
+                deposit(store, "z")
+
+            env.process(getter(env, "g1"))
+            env.process(getter(env, "g2"))
+            env.process(producer(env))
+            env.run()
+            return log, list(store.items)
+
+        via_put = run(lambda store, item: store.put(item))
+        via_nowait = run(lambda store, item: store.put_nowait(item))
+        assert via_nowait == via_put
+        assert via_nowait == ([("g1", "x", 1), ("g2", "y", 1)], ["z"])
+
+    def test_put_nowait_on_full_store_rejected(self, env):
+        store = Store(env, capacity=1)
+        store.put_nowait("a")
+        with pytest.raises(SimulationError):
+            store.put_nowait("b")
+        assert list(store.items) == ["a"]
+
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
             Store(env, capacity=0)

@@ -92,10 +92,35 @@ class TestTransfer:
         dst.import_blocks(idx, stamps)
         assert dst.diff_blocks(src).tolist() == [5, 6, 7, 8, 9]
 
+    def test_validated_export_import_match_checked_forms(self):
+        clock = GenerationClock()
+        src = VirtualBlockDevice(16, clock=clock)
+        dst = VirtualBlockDevice(16, clock=clock)
+        src.write(2, 9)
+        idx = src.validate_indices([1, 4, 9, 15])
+        assert idx.dtype == np.int64
+        stamps, data = src.export_blocks(idx, validated=True)
+        assert data is None
+        assert np.array_equal(stamps, src.export_blocks(idx)[0])
+        dst.import_blocks(idx, stamps, validated=True)
+        assert dst.diff_blocks(src).tolist() == [2, 3, 5, 6, 7, 8, 10]
+
+    def test_validate_indices_rejects_out_of_range(self):
+        disk = VirtualBlockDevice(10)
+        for bad in ([10], [-1], [0, 3, 99]):
+            with pytest.raises(StorageError):
+                disk.validate_indices(np.array(bad))
+
     def test_import_shape_mismatch(self):
         disk = VirtualBlockDevice(10)
         with pytest.raises(StorageError):
             disk.import_blocks(np.arange(3), np.zeros(4, dtype=np.uint64))
+
+    def test_validated_import_still_checks_shape(self):
+        disk = VirtualBlockDevice(10)
+        with pytest.raises(StorageError):
+            disk.import_blocks(np.arange(3), np.zeros(4, dtype=np.uint64),
+                               validated=True)
 
     def test_import_out_of_range(self):
         disk = VirtualBlockDevice(10)
@@ -115,6 +140,21 @@ class TestByteMode:
         dst.import_blocks(idx, stamps, data)
         assert dst.identical_to(src)
         assert np.array_equal(dst.read_data(1, 3), src.read_data(1, 3))
+
+    def test_export_does_not_alias_device_state(self):
+        disk = VirtualBlockDevice(8, block_size=64, data=True)
+        disk.write(0, 8)
+        # Contiguous, strided and single-block selections: none may hand
+        # back a view that a later write shows through.
+        for idx in (np.arange(8), np.arange(0, 8, 3), np.array([5]),
+                    np.asarray(2)):
+            stamps, data = disk.export_blocks(idx)
+            want_stamps, want_data = stamps.copy(), data.copy()
+            assert not np.shares_memory(stamps, disk._gen)
+            assert not np.shares_memory(data, disk._data)
+            disk.write(0, 8)
+            assert np.array_equal(stamps, want_stamps)
+            assert np.array_equal(data, want_data)
 
     def test_explicit_payload(self):
         disk = VirtualBlockDevice(4, block_size=16, data=True)
