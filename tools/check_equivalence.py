@@ -7,8 +7,9 @@ the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five registered
 migration schemes, one fault-injected incremental-retry run, sharded
-cluster waves, a cross-rack drain under guest dirtiers and a bonnie
-TPM/IM round trip — and compares every field of every report (floats included, exactly) against
+cluster waves, a cross-rack drain under guest dirtiers, cross-rack moves
+between busy racks and a bonnie TPM/IM round trip — and compares every
+field of every report (floats included, exactly) against
 ``tests/fixtures/equivalence.json``.
 
 Usage::
@@ -36,7 +37,7 @@ FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "..", "tests",
                             "fixtures", "equivalence.json")
 
 #: Bump when scenarios themselves change (forces an explicit re-capture).
-SCENARIO_VERSION = 2
+SCENARIO_VERSION = 3
 
 
 def _report_dict(report) -> dict:
@@ -233,6 +234,93 @@ def _run_xrack_drain() -> dict:
             "ledger": cluster.link_ledger()}
 
 
+def _ticker(env, domain, base: int, nblocks: int, phase: float):
+    """Perpetual guest writer on a VM that stays put: ``nblocks`` blocks
+    every 20 ms."""
+    yield env.timeout(phase)
+    while True:
+        yield from domain.write(base, nblocks)
+        yield env.timeout(0.02)
+
+
+def _arrival_dirtier(env, domain, base: int, pages, ticks: int):
+    """Guest load restarted on the destination side of a transplant:
+    ``ticks`` rounds of 4 blocks and a few pages."""
+    for _ in range(ticks):
+        yield from domain.write(base, 4)
+        if domain.running:
+            domain.touch_memory(pages)
+        yield env.timeout(_DIRTY_TICK)
+
+
+def _run_xrack_busy_racks() -> dict:
+    """Cross-rack moves in both directions while every rack is busy:
+    each rack's stay-put VMs run perpetual tickers, moving VMs dirty
+    until handed over, and each arrival restarts a dirtier in the
+    destination shard.  Sync windows therefore hold several due shards,
+    and transplants land in shards with pending events of their own, so
+    a change to when (or at which clock) a message is applied shows in
+    the arrival instants, the windows count and the reports."""
+    import numpy as np
+
+    from repro.cluster import build_sharded_cluster
+
+    nracks, nblocks, npages = 4, 2048, 64
+    # One migration at a time per rack: later moves out of a rack run
+    # while earlier arrivals already dirty that rack's disks.
+    cluster = build_sharded_cluster(nracks=nracks, hosts_per_rack=4,
+                                    vms_per_host=2, nblocks=nblocks,
+                                    npages=npages, max_concurrent=1, seed=0)
+    rng = np.random.default_rng(7)
+    arrivals: list = []
+
+    def on_arrival(dest_env, domain) -> None:
+        arrivals.append([domain.name, domain.host.name, dest_env.now])
+        base = int(rng.integers(0, nblocks - 4))
+        pages = np.sort(rng.choice(npages, 4, replace=False))
+        dest_env.process(_arrival_dirtier(dest_env, domain, base, pages, 20),
+                         name=f"arrival-dirtier:{domain.name}")
+
+    moves = []
+    for r, shard in enumerate(cluster.shards):
+        env = shard.env
+        vms = sorted((d for h in shard.hosts for d in h.domains),
+                     key=lambda d: d.domain_id)
+        # One mover on each of the first three hosts; every other VM
+        # ticks, harder in higher racks, so the racks drift apart.
+        movers = vms[0:6:2]
+        for vm in vms:
+            if vm in movers:
+                continue
+            size = 4 * (r + 1)
+            env.process(_ticker(env, vm, int(rng.integers(0, nblocks - size)),
+                                size, float(rng.uniform(0.0, 0.02))),
+                        name=f"ticker:{vm.name}")
+        for i, vm in enumerate(movers):
+            base = int(rng.integers(0, nblocks - 4))
+            pages = np.sort(rng.choice(npages, 4, replace=False))
+            phase = float(rng.uniform(0.0, _DIRTY_TICK))
+            env.process(_dirtier(env, vm, base, pages, phase),
+                        name=f"dirtier:{vm.name}")
+            # Rack r sends to racks r+1, r+2, r+3: every pair of racks
+            # exchanges VMs in both directions.  Destinations are the
+            # movers' own hosts there, so arrivals contend with the
+            # migrations still leaving those hosts.
+            dest_shard = cluster.shards[(r + 1 + i) % nracks]
+            dest = dest_shard.hosts[int(rng.integers(0, 3))].name
+            moves.append((vm, dest))
+    jobs = [cluster.submit(vm, dest, on_arrival=on_arrival)
+            for vm, dest in moves]
+    cluster.drain(jobs)
+    cluster.assert_conserved()
+    return {"reports": [_report_dict(job.report) for job in jobs],
+            "makespan": cluster.makespan(jobs),
+            "ledger": cluster.link_ledger(),
+            "arrivals": arrivals,
+            "windows": cluster.engine.windows,
+            "clocks": [shard.env.now for shard in cluster.shards]}
+
+
 def _run_bonnie_roundtrip() -> dict:
     """Table II in miniature: bonnie TPM out, a dwell on the
     destination, IM back — the write-heavy guest contends with the
@@ -259,6 +347,7 @@ def scenarios() -> dict:
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
     table["cluster:sharded-parallel-vs-inline"] = _run_sharded_parallel
     table["cluster:xrack-drain-dirtied"] = _run_xrack_drain
+    table["cluster:xrack-busy-racks"] = _run_xrack_busy_racks
     table["roundtrip:bonnie-tpm-im"] = _run_bonnie_roundtrip
     return table
 
