@@ -397,9 +397,7 @@ class ShardedCluster:
         while True:
             # Settle cross-rack migrations and their transplants first:
             # they hold engine sources, so quiescence == none in flight.
-            while not self.engine.quiescent:
-                if not self.engine.step_window():
-                    break
+            self.engine.settle()
             pending_by_shard: dict[int, list] = {}
             for shard in self.shards:
                 procs = [job.process for job in shard.scheduler.jobs

@@ -11,15 +11,27 @@ wall clock goes.  :class:`ShardedEngine` runs one Environment per rack
   minimum one-way link latency ``L`` is exported by
   :meth:`repro.net.topology.Topology.lookahead`.  No event a shard
   executes at time ``t`` can affect another shard before ``t + L``.
-* Each iteration computes ``t_next`` — the earliest pending event (or
-  queued cross-shard message) across all shards — and runs every shard
-  up to ``horizon = t_next + L`` in a fixed, deterministic shard order.
-  All shard clocks meet at the boundary, messages due by then are
-  applied, and the loop repeats.
+* Each window computes ``t_next`` — the earliest pending event (or
+  queued cross-shard message) across all shards — and advances shards
+  to ``horizon = t_next + L`` in a fixed, deterministic shard order.
 * Cross-shard interactions travel through :meth:`send`: a message
   carries its earliest-visibility time and a callback; it is applied at
   the first window boundary at or after that time (arrival visibility
   is quantized to boundaries — deterministic, and never early).
+
+**Due shards and lazy clocks.**  A window only runs the shards that
+have work in it: each shard's next work time (event-queue head or inbox
+head, whichever is earlier) sits in a min-heap keyed by ``(time,
+position)``, and a window pops the shards keyed at or before its
+horizon, plus any shard a message was sent to, and runs them in
+registration order.  A shard with nothing due keeps its clock where it
+was; it is landed on the latest boundary (a clock-only
+``Environment.run``) before it next runs, before a message is applied
+to it, and whenever control leaves the engine (:meth:`step_window`,
+:meth:`run` and :meth:`settle` returning).  So every clock outside code
+sees is the one a run of every shard to every boundary would give, and
+the boundaries, message-application instants and ``windows`` count are
+exactly those of that loop.
 
 **Application lookahead fast path.**  Message *sources* (e.g. in-flight
 cross-rack migrations) register via :meth:`add_source`/
@@ -40,13 +52,12 @@ scenario produce identical states, reports, and byte ledgers.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ..errors import SimulationError
 from .engine import Environment
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+INF = float("inf")
 
 #: A cross-shard message callback: ``fn(env)`` runs with the *target*
 #: shard's environment, at that shard's current (boundary) time.
@@ -100,7 +111,30 @@ class ShardedEngine:
         #: migrations and the like).  While zero, windows widen to the
         #: caller's horizon.
         self._sources = 0
-        #: Windows executed (1 window = every shard advanced once).
+        #: Messages queued in the inboxes of ``_counted``, the shard list
+        #: they were counted for (see :meth:`_sync_queued`).
+        self._queued = 0
+        self._counted: Optional[list[Shard]] = None
+        # Window-loop state, live only inside :meth:`_advance`.
+        #: Latest window boundary of the running loop: every shard's
+        #: clock is at least this once landed.  Each loop lands every
+        #: clock on its way out, so the next loop starts from -inf
+        #: (which also keeps narrowed shard groups independent).
+        self._boundary = -INF
+        #: Per position in ``_shards``: next work time, or None while the
+        #: shard runs (or waits to run) in the current window.
+        self._keys: Optional[list[Optional[float]]] = None
+        #: Lazy min-heap of (key, position); stale when key != _keys[pos].
+        self._heap: list[tuple[float, int]] = []
+        #: Shard name -> position in ``_shards``.
+        self._slot: dict[str, int] = {}
+        #: Positions sent to since they last ran: due next window.
+        self._marked: list[int] = []
+        #: Min-heap of positions still to run in the current window, and
+        #: the position running now.
+        self._due: Optional[list[int]] = None
+        self._cursor = -1
+        #: Synchronisation windows executed.
         self.windows = 0
         #: Messages delivered across shards.
         self.messages_delivered = 0
@@ -146,8 +180,30 @@ class ShardedEngine:
                 "send() without a registered source; wrap cross-shard "
                 "activity in add_source()/remove_source()")
         shard = self.shard(target)
+        self._sync_queued()
         self._seq += 1
-        heapq.heappush(shard.inbox, (float(visible_at), self._seq, fn))
+        when = float(visible_at)
+        heapq.heappush(shard.inbox, (when, self._seq, fn))
+        self._queued += 1
+        if self._keys is not None:
+            self._mark(self._slot[target], when)
+
+    def _mark(self, pos: int, when: float) -> None:
+        """Make the shard at ``pos``, just sent a message visible at
+        ``when``, due: in this window if it has not run yet (a later
+        shard), else in the next one."""
+        keys = self._keys
+        key = keys[pos]
+        if key is None:
+            return  # running or due now; re-keyed after it runs
+        if self._due is not None and pos > self._cursor:
+            keys[pos] = None
+            heapq.heappush(self._due, pos)
+            return
+        if when < key:
+            keys[pos] = when
+            heapq.heappush(self._heap, (when, pos))
+        self._marked.append(pos)
 
     def add_source(self) -> None:
         """Declare a live cross-shard message source (disables the
@@ -159,11 +215,20 @@ class ShardedEngine:
             raise SimulationError("remove_source() without add_source()")
         self._sources -= 1
 
+    def _sync_queued(self) -> None:
+        """Recount queued messages when ``_shards`` was swapped
+        (:meth:`run_forked` and the forked cluster drain narrow it to a
+        group of shards)."""
+        shards = self._shards
+        if self._counted is not shards:
+            self._counted = shards
+            self._queued = sum(len(shard.inbox) for shard in shards)
+
     @property
     def quiescent(self) -> bool:
         """True when no cross-shard interaction is possible right now."""
-        return self._sources == 0 and not any(
-            shard.inbox for shard in self._shards)
+        self._sync_queued()
+        return self._sources == 0 and self._queued == 0
 
     # -- the conservative loop ---------------------------------------------
 
@@ -173,54 +238,165 @@ class ShardedEngine:
         env = shard.env
         while inbox and inbox[0][0] <= env.now:
             _when, _seq, fn = heapq.heappop(inbox)
+            self._queued -= 1
             self.messages_delivered += 1
             fn(env)
 
+    def _land(self) -> None:
+        """Move every lagging clock up to the latest boundary."""
+        boundary = self._boundary
+        for shard in self._shards:
+            if shard.env.now < boundary:
+                shard.env.run(until=boundary)
+
+    def _rekey_all(self) -> None:
+        """Key every shard by its next work time; mark the ones holding a
+        message that is already visible at their (landed) clock."""
+        boundary = self._boundary
+        keys: list[Optional[float]] = []
+        heap = []
+        marked = []
+        for pos, shard in enumerate(self._shards):
+            key = shard.env.peek()
+            if shard.inbox:
+                head = shard.inbox[0][0]
+                if head < key:
+                    key = head
+                if head <= max(shard.env.now, boundary):
+                    marked.append(pos)
+            keys.append(key)
+            if key < INF:
+                heap.append((key, pos))
+        heapq.heapify(heap)
+        self._keys, self._heap, self._marked = keys, heap, marked
+
     def _t_next(self) -> float:
         """Earliest pending work (event or message) across all shards."""
-        t = float("inf")
-        for shard in self._shards:
-            peek = shard.env.peek()
-            if peek < t:
-                t = peek
-            if shard.inbox and shard.inbox[0][0] < t:
-                t = shard.inbox[0][0]
-        return t
+        heap = self._heap
+        keys = self._keys
+        while heap:
+            key, pos = heap[0]
+            if keys[pos] == key:
+                return key
+            heapq.heappop(heap)
+        return INF
+
+    def _window(self, horizon: float) -> None:
+        """One conservative window: run the due shards to ``horizon``.
+
+        Runs once per window while cross-rack work is in flight, so it
+        reads ``Environment._now`` directly (as the event classes do)."""
+        self.windows += 1
+        keys = self._keys
+        heap = self._heap
+        heappop = heapq.heappop
+        due = []
+        if self._marked:
+            for pos in self._marked:
+                if keys[pos] is not None:
+                    keys[pos] = None
+                    due.append(pos)
+            self._marked = []
+        while heap and heap[0][0] <= horizon:
+            key, pos = heappop(heap)
+            if keys[pos] == key:
+                keys[pos] = None
+                due.append(pos)
+        if len(due) > 1:
+            heapq.heapify(due)
+        self._due = due
+        shards = self._shards
+        boundary = self._boundary
+        while due:
+            pos = self._cursor = heappop(due)
+            shard = shards[pos]
+            env = shard.env
+            inbox = shard.inbox
+            if env._now < boundary:
+                env.run(until=boundary)
+            if inbox and inbox[0][0] <= env._now:
+                self._deliver_due(shard)
+            if env._now < horizon or env.peek() <= horizon:
+                env.run(until=horizon)
+            key = env.peek()
+            if inbox and inbox[0][0] < key:
+                key = inbox[0][0]
+            keys[pos] = key
+            if key < INF:
+                heapq.heappush(heap, (key, pos))
+        self._due = None
+        self._cursor = -1
+        if horizon > boundary:
+            self._boundary = horizon
+
+    def _wide_window(self, until: Optional[float]) -> None:
+        """No possible cross-shard influence (send() requires a
+        registered source, and there are none): run each shard's whole
+        remaining span in one hot pass."""
+        self.windows += 1
+        self._land()
+        self._keys = None  # sends during the pass only queue; re-keyed below
+        if until is None:
+            for shard in self._shards:
+                shard.env.run()
+        else:
+            for shard in self._shards:
+                if shard.env.now < until or shard.env.peek() <= until:
+                    shard.env.run(until=until)
+        self._rekey_all()
+
+    def _advance(self, until: Optional[float] = None, once: bool = False,
+                 settle: bool = False) -> bool:
+        """The window loop behind :meth:`step_window`, :meth:`run` and
+        :meth:`settle`: step windows until out of work (every queue idle
+        and every inbox empty, or the next work item beyond ``until``),
+        after one window if ``once``, or on reaching quiescence if
+        ``settle``.  Lands every clock on the way out; returns whether
+        a window ran."""
+        shards = self._shards
+        if not shards:
+            raise SimulationError("no shards registered")
+        self._sync_queued()
+        self._slot = {shard.name: pos for pos, shard in enumerate(shards)}
+        self._boundary = -INF
+        self._rekey_all()
+        stepped = False
+        try:
+            while not (settle and self._sources == 0
+                       and self._queued == 0):
+                t_next = self._t_next()
+                if t_next == INF or (until is not None and t_next > until):
+                    break
+                if self._sources == 0 and self._queued == 0:
+                    self._wide_window(None if until is None
+                                      else float(until))
+                else:
+                    horizon = t_next + self.lookahead
+                    if until is not None and horizon > until:
+                        horizon = float(until)
+                    self._window(horizon)
+                stepped = True
+                if once:
+                    break
+        finally:
+            self._keys = None
+            self._due = None
+            self._cursor = -1
+            self._marked = []
+            self._land()
+        return stepped
 
     def step_window(self, until: Optional[float] = None) -> bool:
         """Execute one synchronization window; False when no work was
         available (every queue idle and every inbox empty, or the next
         work item lies beyond ``until``)."""
-        if not self._shards:
-            raise SimulationError("no shards registered")
-        shards = self._shards
-        t_next = self._t_next()
-        if t_next == float("inf"):
-            return False
-        if until is not None and t_next > until:
-            return False
-        if self.quiescent:
-            # No possible cross-shard influence (send() requires a
-            # registered source, and there are none): run each shard's
-            # whole remaining span in one hot pass.
-            self.windows += 1
-            if until is None:
-                for shard in shards:
-                    shard.env.run()
-                return True
-            for shard in shards:
-                if shard.env.now < until or shard.env.peek() <= until:
-                    shard.env.run(until=float(until))
-            return True
-        horizon = t_next + self.lookahead
-        if until is not None and horizon > until:
-            horizon = float(until)
-        self.windows += 1
-        for shard in shards:
-            self._deliver_due(shard)
-            if shard.env.now < horizon or shard.env.peek() <= horizon:
-                shard.env.run(until=horizon)
-        return True
+        return self._advance(until, once=True)
+
+    def settle(self) -> None:
+        """Step windows until the engine is quiescent (no source live
+        and no message queued) or no shard has work left."""
+        if not self.quiescent:
+            self._advance(settle=True)
 
     def run(self, until: Optional[float] = None) -> None:
         """Advance every shard to ``until`` (or until all work drains).
@@ -231,8 +407,7 @@ class ShardedEngine:
         event or message — beware perpetual background processes, which
         make that never happen (use a horizon or :meth:`step_window`).
         """
-        while self.step_window(until=until):
-            pass
+        self._advance(until)
         # Land every clock on the requested horizon and flush messages
         # that became visible by it.
         if until is not None:
@@ -307,7 +482,8 @@ class ShardedEngine:
 
     @property
     def now(self) -> float:
-        """The trailing clock across shards (all equal at boundaries)."""
+        """The trailing clock across shards (all equal at boundaries
+        once landed)."""
         if not self._shards:
             return 0.0
         return min(shard.env.now for shard in self._shards)
