@@ -379,10 +379,7 @@ class ShardedEngine:
                 if once:
                     break
         finally:
-            self._keys = None
-            self._due = None
-            self._cursor = -1
-            self._marked = []
+            self._keys = self._due = None
             self._land()
         return stepped
 
