@@ -103,13 +103,12 @@ def run_monolithic(racks: int, hosts_per_rack: int, vms_per_host: int,
 
 
 def run_sharded(racks: int, hosts_per_rack: int, vms_per_host: int,
-                per_rack: int, workers: str = "inline") -> dict:
+                per_rack: int) -> dict:
     cluster = build_sharded_cluster(nracks=racks,
                                     hosts_per_rack=hosts_per_rack,
                                     vms_per_host=vms_per_host,
                                     nblocks=NBLOCKS, npages=NPAGES,
-                                    max_concurrent=10 ** 6,
-                                    workers=workers)
+                                    max_concurrent=10 ** 6)
     ordinal = 0
     for shard in cluster.shards:
         for host in shard.hosts:
@@ -123,10 +122,7 @@ def run_sharded(racks: int, hosts_per_rack: int, vms_per_host: int,
     wall = perf_counter() - start
     assert all(job.succeeded for job in jobs), \
         [job.error for job in jobs if not job.succeeded]
-    if workers == "inline":
-        # Forked drains audit byte conservation inside each worker (the
-        # parent only holds the patched-back accounting view).
-        cluster.assert_conserved()
+    cluster.assert_conserved()
     return dict(wall_s=wall, events=cluster.events_processed,
                 sim_time=cluster.engine.now, nvms=len(jobs),
                 makespan=cluster.makespan(jobs),
@@ -134,23 +130,14 @@ def run_sharded(racks: int, hosts_per_rack: int, vms_per_host: int,
 
 
 def compare_once(racks: int, hosts_per_rack: int, vms_per_host: int,
-                 per_rack: int = EVACUATE_PER_RACK,
-                 with_fork: bool = True) -> dict:
-    """One forked-sharded + one mono + one sharded run of the identical
-    wave; asserts the simulated makespans agree to float precision.
+                 per_rack: int = EVACUATE_PER_RACK) -> dict:
+    """One mono + one sharded run of the identical wave; asserts the
+    simulated makespans agree to float precision.
 
-    The forked leg runs *first*: fork cost is dominated by
-    copy-on-write faults against the resident heap, so forking after
-    the mono and inline testbeds have churned hundreds of MB would bill
-    their garbage to the fork leg.  The legs build independent
-    testbeds, so ordering cannot change any simulated result — only the
-    wall clocks — and ``gc.collect()`` between legs keeps each one from
-    paying GC debt run up by its predecessor."""
-    forked = None
-    if with_fork:
-        forked = run_sharded(racks, hosts_per_rack, vms_per_host,
-                             per_rack, workers="fork")
-        gc.collect()
+    The legs build independent testbeds, so ordering cannot change any
+    simulated result — only the wall clocks — and ``gc.collect()``
+    between legs keeps each one from paying GC debt run up by its
+    predecessor."""
     mono = run_monolithic(racks, hosts_per_rack, vms_per_host, per_rack)
     gc.collect()
     shard = run_sharded(racks, hosts_per_rack, vms_per_host, per_rack)
@@ -159,20 +146,9 @@ def compare_once(racks: int, hosts_per_rack: int, vms_per_host: int,
     assert drift < 1e-9, (
         f"sharded diverged from monolithic: makespan "
         f"{shard['makespan']!r} vs {mono['makespan']!r}")
-    out = dict(mono=mono, sharded=shard,
-               speedup=mono["wall_s"] / shard["wall_s"]
-               if shard["wall_s"] > 0 else float("inf"))
-    if forked is not None:
-        # The forked drain replays the same inline loop per rack group,
-        # so its makespan must be *exactly* the inline sharded one.
-        assert forked["makespan"] == shard["makespan"], (
-            f"forked drain diverged: makespan {forked['makespan']!r} "
-            f"vs {shard['makespan']!r}")
-        assert forked["events"] == shard["events"]
-        out["forked"] = forked
-        out["fork_speedup"] = (mono["wall_s"] / forked["wall_s"]
-                               if forked["wall_s"] > 0 else float("inf"))
-    return out
+    return dict(mono=mono, sharded=shard,
+                speedup=mono["wall_s"] / shard["wall_s"]
+                if shard["wall_s"] > 0 else float("inf"))
 
 
 def main(argv=None) -> int:
@@ -200,8 +176,6 @@ def main(argv=None) -> int:
 
     out = compare_once(per_rack=args.evacuate_per_rack, **geo)
     rows = [("monolithic", out["mono"]), ("sharded", out["sharded"])]
-    if "forked" in out:
-        rows.append(("shard+fork", out["forked"]))
     print(f"{'engine':<12} {'wall':>10} {'events':>10} {'ev/s':>10} "
           f"{'sim makespan':>14}")
     for label, res in rows:
@@ -209,8 +183,7 @@ def main(argv=None) -> int:
               f"{res['events']:>10} "
               f"{res['events'] / res['wall_s'] / 1e3:>8.1f}k "
               f"{fmt_time(res['makespan']):>14}")
-    print(f"speedup: {out['speedup']:.2f}x inline, "
-          f"{out.get('fork_speedup', float('nan')):.2f}x forked "
+    print(f"speedup: {out['speedup']:.2f}x "
           f"({out['sharded']['windows']} sync windows); "
           f"makespans identical; byte ledgers conserved on both engines")
     return 0

@@ -136,18 +136,13 @@ def scale_1k_host(smoke: bool = False) -> dict:
     geometry = dict(bench_scale.SMOKE if smoke else bench_scale.FULL)
     out = bench_scale.compare_once(**geometry)
     sharded = out["sharded"]
-    extra = {}
-    if "forked" in out:
-        extra = dict(fork_wall_s=out["forked"]["wall_s"],
-                     fork_makespan=out["forked"]["makespan"],
-                     fork_speedup=out["fork_speedup"])
     return _result(sharded["wall_s"], sharded["events"],
                    sharded["sim_time"], **geometry,
                    nvms_migrated=sharded["nvms"],
                    makespan=sharded["makespan"],
                    mono_wall_s=out["mono"]["wall_s"],
                    mono_events=out["mono"]["events"],
-                   speedup=out["speedup"], **extra)
+                   speedup=out["speedup"])
 
 
 #: Name -> callable(smoke) for the runner; insertion order is run order.

@@ -185,17 +185,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_evacuate(args: argparse.Namespace) -> int:
     """Evacuate one host of a simulated cluster through the scheduler."""
-    from .cluster import RoundRobin, build_cluster, least_loaded
+    from .cluster import build_cluster
 
     bed = build_cluster(
         nhosts=args.hosts, vms_per_host=args.vms_per_host,
         wiring=args.wiring, nblocks=args.nblocks, npages=args.npages,
         max_concurrent=args.concurrency, per_link_limit=args.per_link_limit,
         observe=args.trace is not None)
-    policy = (RoundRobin() if args.policy == "round-robin"
-              else least_loaded)
+    if args.policy == "round-robin":
+        # Rank by fewest in-flight inbound migrations: a burst of
+        # placements rotates across the hosts in name order.
+        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
     victim = bed.hosts[0]
-    jobs = bed.scheduler.evacuate(victim, policy=policy, scheme=args.scheme)
+    jobs = bed.scheduler.evacuate(victim, scheme=args.scheme)
     bed.scheduler.drain(jobs)
     print(f"evacuated {victim.name}: {len(jobs)} VMs, "
           f"makespan {fmt_time(bed.scheduler.makespan(jobs))}")
@@ -238,12 +240,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
         nracks=args.racks, hosts_per_rack=args.hosts_per_rack,
         vms_per_host=args.vms_per_host, nblocks=args.nblocks,
         npages=args.npages, max_concurrent=args.concurrency,
-        seed=args.seed, workers=args.workers)
+        seed=args.seed)
     nhosts = args.racks * args.hosts_per_rack
     print(f"sharded cluster: {nhosts} hosts / "
           f"{nhosts * args.vms_per_host} VMs in {args.racks} racks "
-          f"(lookahead {cluster.engine.lookahead * 1e6:.0f} us, "
-          f"workers={args.workers})")
+          f"(lookahead {cluster.engine.lookahead * 1e6:.0f} us)")
 
     config = ChurnConfig(
         duration=args.duration, arrival_rate=args.arrival_rate,
@@ -497,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max in-flight migrations per link "
                              "(default: unlimited)")
     p_evac.add_argument("--policy", choices=("least-loaded", "round-robin"),
-                        default="least-loaded", help="placement policy")
+                        default="least-loaded",
+                        help="placement ranking: fewest planned domains, "
+                             "or fewest in-flight inbound migrations "
+                             "(default: least-loaded)")
     p_evac.add_argument("--scheme", choices=scheme_names(aliases=True), default="tpm",
                         help="migration scheme (default: tpm)")
     p_evac.add_argument("--nblocks", type=int, default=2048,
@@ -549,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-tenant downtime budget for the SLO "
                               "report (default: none)")
-    p_scale.add_argument("--workers", choices=("inline", "fork"),
-                         default="inline",
-                         help="drain backend: advance shard groups in "
-                              "this process or in forked workers "
-                              "(default: inline)")
     p_scale.set_defaults(func=cmd_scale)
 
     p_chaos = sub.add_parser(

@@ -381,11 +381,6 @@ class HostManager:
         survivors = self.filter_hosts(spec, exclude=exclude)
         return self.weigh_hosts(survivors, spec)[0][1].host
 
-    def select_for(self, domain: "Domain",
-                   exclude: Iterable[str] = ()) -> "Host":
-        """Convenience: place ``domain`` off its current host."""
-        return self.select(PlacementSpec(domain=domain), exclude=exclude)
-
     def __repr__(self) -> str:
         return (f"<HostManager {len(self._states)} hosts "
                 f"filters={list(self.filter_names)} "

@@ -18,10 +18,9 @@ contend for links.  :class:`ClusterScheduler` turns the point-to-point
 * **placement** — every destination decision (evacuate, rebalance, and
   re-placement of queued jobs whose target died) flows through one
   :class:`~repro.cluster.hostmanager.HostManager` filter/weigher
-  pipeline.  Legacy :mod:`repro.cluster.placement` callables are still
-  accepted — they run against the manager's *filtered* candidate list,
-  so even custom policies can no longer pick a crashed or
-  in-maintenance host.
+  pipeline.  Choose a different ranking by setting the manager's
+  ``weigher_spec`` (for example ``[("spread", 1.0)]`` to rotate a burst
+  across hosts).
 
 Failed migrations are contained: the job records the
 :class:`~repro.errors.MigrationFailed` and the scheduler moves on.
@@ -37,7 +36,6 @@ from ..core.metrics import MigrationReport
 from ..errors import AdmissionRejected, MigrationError, NoValidHost
 from ..sim import Resource
 from .hostmanager import HostManager, PlacementSpec
-from .placement import PlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import MigrationConfig
@@ -524,44 +522,23 @@ class ClusterScheduler:
 
     # -- bulk operations ---------------------------------------------------
 
-    def _candidates(self, exclude: "Host",
-                    domain: Optional["Domain"] = None) -> list["Host"]:
-        """Hosts the placement pipeline allows as destinations, sorted by
-        name.  Crashed and in-maintenance hosts never appear (the filter
-        chain's ``up`` filter), so legacy policy callables can no longer
-        pick a dead target mid-churn."""
-        spec = PlacementSpec(domain=domain, source=exclude)
-        states = self.hostmanager.filter_hosts(spec)
-        return [state.host for state in states]
+    def place(self, domain: "Domain") -> "Host":
+        """Choose a destination for one domain through the HostManager
+        filter/weigher pipeline."""
+        return self.hostmanager.select(PlacementSpec(domain=domain))
 
-    def place(self, domain: "Domain",
-              policy: Optional[PlacementPolicy] = None) -> "Host":
-        """Choose a destination for one domain.
-
-        Without ``policy`` the HostManager filter/weigher pipeline
-        decides; a legacy :data:`PlacementPolicy` callable is honoured
-        but only sees pipeline-filtered candidates.
-        """
-        if policy is None:
-            return self.hostmanager.select(PlacementSpec(domain=domain))
-        candidates = self._candidates(domain.host, domain=domain)
-        return policy(domain, candidates, self.planned_load())
-
-    def evacuate(self, host: "Host",
-                 policy: Optional[PlacementPolicy] = None,
-                 scheme: str = "tpm",
+    def evacuate(self, host: "Host", scheme: str = "tpm",
                  workload_name: str = "unknown") -> list[MigrationJob]:
         """Schedule every domain off ``host`` (maintenance drain).
 
-        Destinations flow through the HostManager pipeline (or a legacy
-        ``policy`` callable over its filtered candidates) against planned
-        load, so a burst of simultaneous placements spreads across the
-        cluster.  Returns the submitted jobs; drive the env (or
-        :meth:`drain`) to execute them.
+        Destinations flow through the HostManager pipeline against
+        planned load, so a burst of simultaneous placements spreads
+        across the cluster.  Returns the submitted jobs; drive the env
+        (or :meth:`drain`) to execute them.
         """
         jobs = []
         for domain in sorted(host.domains, key=lambda d: d.domain_id):
-            destination = self.place(domain, policy)
+            destination = self.place(domain)
             # submit() bumps the shared inbound map, so the next
             # placement in this burst already sees the planned load.
             jobs.append(self.submit(domain, destination, scheme=scheme,
@@ -571,8 +548,7 @@ class ClusterScheduler:
                                 host=host.name, jobs=len(jobs))
         return jobs
 
-    def rebalance(self, policy: Optional[PlacementPolicy] = None,
-                  scheme: str = "tpm") -> list[MigrationJob]:
+    def rebalance(self, scheme: str = "tpm") -> list[MigrationJob]:
         """One pass of load spreading: move domains off hosts above the
         ceiling of the mean planned load onto pipeline-chosen targets."""
         jobs: list[MigrationJob] = []
@@ -593,20 +569,17 @@ class ClusterScheduler:
                 if not movable:
                     break
                 domain = min(movable, key=lambda d: d.domain_id)
+                spec = PlacementSpec(domain=domain, source=host)
                 try:
-                    below = [c for c in self._candidates(host, domain=domain)
-                             if loads.get(c.name, 0) < ceiling]
+                    below = [state for state
+                             in self.hostmanager.filter_hosts(spec)
+                             if loads.get(state.name, 0) < ceiling]
                 except NoValidHost:
                     below = []
                 if not below:
                     break
-                if policy is None:
-                    survivors = [self.hostmanager.state_of(c) for c in below]
-                    spec = PlacementSpec(domain=domain, source=host)
-                    destination = self.hostmanager.weigh_hosts(
-                        survivors, spec)[0][1].host
-                else:
-                    destination = policy(domain, below, loads)
+                destination = self.hostmanager.weigh_hosts(
+                    below, spec)[0][1].host
                 scheduled.add(domain.domain_id)
                 loads[host.name] -= 1
                 loads[destination.name] = loads.get(destination.name, 0) + 1

@@ -82,27 +82,13 @@ class Shard:
                 f"inbox={len(self.inbox)}>")
 
 
-#: Valid execution backends for :class:`ShardedEngine`.
-WORKER_BACKENDS = ("inline", "fork")
-
-
 class ShardedEngine:
-    """Coordinates per-shard Environments under conservative lookahead.
+    """Coordinates per-shard Environments under conservative lookahead."""
 
-    ``workers`` selects the execution backend: ``"inline"`` (default)
-    advances every shard in this process; ``"fork"`` lets
-    :meth:`run_forked` fan independent shard groups out across forked
-    worker processes (falling back to inline where fork is unavailable).
-    """
-
-    def __init__(self, lookahead: float, workers: str = "inline") -> None:
+    def __init__(self, lookahead: float) -> None:
         if lookahead <= 0.0:
             raise SimulationError(
                 f"lookahead must be positive, got {lookahead!r}")
-        if workers not in WORKER_BACKENDS:
-            raise SimulationError(
-                f"workers must be one of {WORKER_BACKENDS}, got {workers!r}")
-        self.workers = workers
         self.lookahead = float(lookahead)
         self._shards: list[Shard] = []
         self._by_name: dict[str, Shard] = {}
@@ -111,23 +97,19 @@ class ShardedEngine:
         #: migrations and the like).  While zero, windows widen to the
         #: caller's horizon.
         self._sources = 0
-        #: Messages queued in the inboxes of ``_counted``, the shard list
-        #: they were counted for (see :meth:`_sync_queued`).
+        #: Messages queued across every inbox.
         self._queued = 0
-        self._counted: Optional[list[Shard]] = None
         # Window-loop state, live only inside :meth:`_advance`.
         #: Latest window boundary of the running loop: every shard's
         #: clock is at least this once landed.  Each loop lands every
-        #: clock on its way out, so the next loop starts from -inf
-        #: (which also keeps narrowed shard groups independent).
+        #: clock on its way out, so the next loop starts from -inf (and
+        #: a shard registered between loops catches up window by window).
         self._boundary = -INF
         #: Per position in ``_shards``: next work time, or None while the
         #: shard runs (or waits to run) in the current window.
         self._keys: Optional[list[Optional[float]]] = None
         #: Lazy min-heap of (key, position); stale when key != _keys[pos].
         self._heap: list[tuple[float, int]] = []
-        #: Shard name -> position in ``_shards``.
-        self._slot: dict[str, int] = {}
         #: Positions sent to since they last ran: due next window.
         self._marked: list[int] = []
         #: Min-heap of positions still to run in the current window, and
@@ -180,13 +162,12 @@ class ShardedEngine:
                 "send() without a registered source; wrap cross-shard "
                 "activity in add_source()/remove_source()")
         shard = self.shard(target)
-        self._sync_queued()
         self._seq += 1
         when = float(visible_at)
         heapq.heappush(shard.inbox, (when, self._seq, fn))
         self._queued += 1
         if self._keys is not None:
-            self._mark(self._slot[target], when)
+            self._mark(shard.index, when)
 
     def _mark(self, pos: int, when: float) -> None:
         """Make the shard at ``pos``, just sent a message visible at
@@ -215,19 +196,9 @@ class ShardedEngine:
             raise SimulationError("remove_source() without add_source()")
         self._sources -= 1
 
-    def _sync_queued(self) -> None:
-        """Recount queued messages when ``_shards`` was swapped
-        (:meth:`run_forked` and the forked cluster drain narrow it to a
-        group of shards)."""
-        shards = self._shards
-        if self._counted is not shards:
-            self._counted = shards
-            self._queued = sum(len(shard.inbox) for shard in shards)
-
     @property
     def quiescent(self) -> bool:
         """True when no cross-shard interaction is possible right now."""
-        self._sync_queued()
         return self._sources == 0 and self._queued == 0
 
     # -- the conservative loop ---------------------------------------------
@@ -356,8 +327,6 @@ class ShardedEngine:
         shards = self._shards
         if not shards:
             raise SimulationError("no shards registered")
-        self._sync_queued()
-        self._slot = {shard.name: pos for pos, shard in enumerate(shards)}
         self._boundary = -INF
         self._rekey_all()
         stepped = False
@@ -413,67 +382,6 @@ class ShardedEngine:
                 if shard.env.now < final:
                     shard.env.run(until=final)
                 self._deliver_due(shard)
-
-    # -- parallel execution ------------------------------------------------
-
-    def run_forked(self, until: Optional[float] = None,
-                   extract: Optional[Callable[[Shard], object]] = None,
-                   groups: Optional[list[list[str]]] = None,
-                   nworkers: Optional[int] = None) -> dict:
-        """Advance shard groups to ``until`` in forked workers; return
-        ``{shard_name: extract(shard)}`` gathered from the children.
-
-        This is a *map*, not an in-place run: each worker owns a
-        copy-on-write snapshot, advances its groups' shards (delivering
-        any due intra-group messages through the normal conservative
-        loop), and ships back only what ``extract`` returns (which must
-        pickle; default: the shard's events/now/inbox stats).  The
-        parent's shard state is **not** advanced — callers that need
-        merged state patch it back from the extracted values (see
-        ``ShardedCluster.drain(workers="fork")``).
-
-        Without explicit ``groups`` the engine must be quiescent (each
-        shard becomes its own group); with groups, every pair of shards
-        that can exchange messages must share a group — that is the
-        caller's contract, same as :meth:`send`'s source contract.
-        """
-        from .parallel import fork_map
-
-        if extract is None:
-            def extract(shard: Shard) -> dict:
-                return dict(events=shard.env.events_processed,
-                            now=shard.env.now, inbox=len(shard.inbox))
-        if groups is None:
-            if not self.quiescent:
-                raise SimulationError(
-                    "run_forked() without groups requires a quiescent "
-                    "engine; co-locate communicating shards explicitly")
-            groups = [[shard.name] for shard in self._shards]
-        for name_list in groups:
-            for name in name_list:
-                self.shard(name)  # validate early, in the parent
-
-        def group_thunk(names: list[str]):
-            def run_group() -> dict:
-                members = [self._by_name[name] for name in names]
-                # Narrow the engine to this group.  In a forked child the
-                # narrowing is free (copy-on-write snapshot); on the
-                # inline fallback the finally puts the parent back.
-                saved = (self._shards, self._by_name)
-                self._shards = members
-                self._by_name = {shard.name: shard for shard in members}
-                try:
-                    self.run(until=until)
-                    return {shard.name: extract(shard) for shard in members}
-                finally:
-                    self._shards, self._by_name = saved
-            return run_group
-
-        merged: dict = {}
-        for result in fork_map([group_thunk(g) for g in groups],
-                               nworkers=nworkers):
-            merged.update(result)
-        return merged
 
     # -- merged views ------------------------------------------------------
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster import (RoundRobin, assert_conserved, audit_link_bytes,
-                           build_cluster, least_loaded, pack_smallest_name)
+from repro.cluster import assert_conserved, audit_link_bytes, build_cluster
 from repro.errors import MigrationError, ReproError
 from repro.vm import Domain, GuestMemory
 
@@ -173,27 +172,41 @@ class TestRebalance:
 
 
 class TestPolicies:
+    """Placement policies are weigher inputs to the HostManager pipeline."""
+
     def test_round_robin_cycles_destinations(self):
+        # ``spread`` ranks by in-flight inbound migrations only, so a
+        # burst rotates host01 -> host02 -> host03 even though host03 is
+        # empty (least-loaded would pile onto it).
         bed = build_cluster(nhosts=4, vms_per_host=3, **SMALL)
-        jobs = bed.scheduler.evacuate(bed.hosts[0], policy=RoundRobin())
+        for domain in list(bed.hosts[3].domains):
+            bed.hosts[3].detach_domain(domain.domain_id)
+        bed.scheduler.hostmanager.weigher_spec = [("spread", 1.0)]
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert [j.destination.name for j in jobs] == [
             "host01", "host02", "host03"]
         bed.scheduler.drain(jobs)
         assert all(job.succeeded for job in jobs)
 
-    def test_pack_smallest_name_concentrates(self):
+    def test_empty_weigher_list_packs_onto_first_host(self):
+        # No weighers: every survivor scores 0 and the name tie-break
+        # packs the whole burst onto host01.
         bed = build_cluster(nhosts=4, vms_per_host=2, **SMALL)
-        jobs = bed.scheduler.evacuate(bed.hosts[0],
-                                      policy=pack_smallest_name)
+        bed.scheduler.hostmanager.weigher_spec = []
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
         assert {j.destination.name for j in jobs} == {"host01"}
         bed.scheduler.drain(jobs)
         assert len(bed.hosts[1].domains) == 4
 
     def test_least_loaded_prefers_lightest_host(self):
-        bed = build_cluster(nhosts=3, vms_per_host=0, **SMALL)
-        loads = {"host01": 3, "host02": 1}
-        pick = least_loaded(None, bed.hosts[1:], loads)
-        assert pick is bed.hosts[2]
+        # Default pipeline: host02 holds one domain, host01 two.
+        bed = build_cluster(nhosts=3, vms_per_host=2, **SMALL)
+        light = bed.hosts[2]
+        light.detach_domain(light.domains[0].domain_id)
+        jobs = bed.scheduler.evacuate(bed.hosts[0])
+        # host02 first; then host01 and host02 tie at 2 and the name
+        # tie-break picks host01.
+        assert [j.destination.name for j in jobs] == ["host02", "host01"]
 
 
 class TestFailureContainment:

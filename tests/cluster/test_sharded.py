@@ -157,6 +157,37 @@ class TestCrossRack:
         assert not cluster.host("host00").domains
 
 
+class TestDrain:
+    def test_engine_quiescent_after_mixed_wave(self):
+        # Two intra-rack moves and one cross-rack move: the cross-rack
+        # job holds an engine source until its transplant lands, and
+        # drain() returns only once it has.
+        cluster = sharded()
+        jobs = [cluster.submit(cluster.domains[0], "host01"),   # rack0
+                cluster.submit(cluster.domains[4], "host03"),   # rack1
+                cluster.submit(cluster.domains[2], "host02")]   # 0 -> 1
+        assert not cluster.engine.quiescent
+        assert len(cluster._live_cross) == 1
+        cluster.drain(jobs)
+        assert all(job.succeeded for job in jobs)
+        assert cluster.engine.quiescent
+        assert not cluster._live_cross
+        # The same instance keeps driving after the drain.
+        more = [cluster.submit(cluster.domains[3], "host00")]
+        cluster.drain(more)
+        assert all(job.succeeded for job in more)
+        cluster.assert_conserved()
+
+    def test_crashed_destination_fails_the_job(self):
+        cluster = sharded()
+        cluster.host("host01").crashed = True
+        job = cluster.submit(cluster.domains[0], "host01")
+        cluster.drain([job])
+        assert job.status == "failed"
+        assert job.error is not None
+        assert cluster.engine.quiescent
+
+
 class TestChurn:
     def test_config_validation(self):
         with pytest.raises(ReproError):

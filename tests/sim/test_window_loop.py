@@ -113,8 +113,6 @@ class _Schedule:
         self.shards = [self.engine.add_shard(name) for name in self.names]
         self.log = {name: [] for name in self.names}
         self.trace = []
-        #: No new sends while shard groups run narrowed.
-        self.quiet = False
         for shard in self.shards:
             for j in range(self.rng.randint(0, 3)):
                 self.start_timer(shard, f"t{j}")
@@ -134,7 +132,7 @@ class _Schedule:
         for k in range(ticks):
             yield env.timeout(self.delay())
             self.log[shard.name].append((env.now, f"{label}.{k}"))
-            if sends and not self.quiet and self.rng.random() < 0.3:
+            if sends and self.rng.random() < 0.3:
                 self.engine.add_source()
                 self.send(env, f"{shard.name}/{label}.{k}", hops=0)
 
@@ -173,24 +171,17 @@ class _Schedule:
         src = self.rng.choice(self.shards)
         self.send(src.env, f"out@{src.name}", hops=0)
 
-    def run_groups(self, horizon: float) -> None:
-        """Drain two shard groups one after the other with the engine
-        narrowed to each (``run_forked``'s inline path), under a live
-        source so the groups step narrow windows."""
-        self.quiet = True
-        self.engine.add_source()
-        half = self.rng.randint(1, len(self.names) - 1)
-        groups = [self.names[:half], self.names[half:]]
-        until = None
-        if self.rng.random() < 0.5:
-            until = round(horizon + self.rng.uniform(0.0, 0.3), 3)
-        out = self.engine.run_forked(
-            until=until, groups=groups, nworkers=0,
-            extract=lambda shard: (shard.env.now,
-                                   shard.env.events_processed))
-        self.engine.remove_source()
-        self.quiet = False
-        self.record(f"groups<={until}", sorted(out.items()))
+    def add_late_shard(self) -> None:
+        """Register a shard between calls: its clock starts at zero while
+        the others have moved on, so it must catch up window by window
+        rather than jump to an earlier loop's boundary."""
+        name = f"s{len(self.names)}"
+        self.names.append(name)
+        self.log[name] = []
+        shard = self.engine.add_shard(name)
+        self.shards.append(shard)
+        for j in range(self.rng.randint(1, 3)):
+            self.start_timer(shard, f"late-shard-t{j}")
 
     def drive(self) -> "_Schedule":
         rng = self.rng
@@ -211,8 +202,9 @@ class _Schedule:
             elif roll < 0.8:
                 self.engine.settle()
                 self.record("settle", None)
-            elif roll < 0.9 and self.engine.quiescent:
-                self.run_groups(horizon)
+            elif roll < 0.85:
+                self.add_late_shard()
+                self.record("add-shard", None)
             else:
                 self.outside_send()
                 self.record("outside-send", None)

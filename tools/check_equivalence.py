@@ -6,8 +6,8 @@ dirty-marking, ...) is only admissible when it is *behavior-preserving*:
 the optimized simulator must produce :class:`~repro.core.MigrationReport`
 objects bit-identical to fixtures captured before the optimization.  This
 script runs a fixed set of deterministic scenarios — all five registered
-migration schemes, one fault-injected incremental-retry run, sharded
-cluster waves, a cross-rack drain under guest dirtiers, cross-rack moves
+migration schemes, one fault-injected incremental-retry run, a sharded
+cluster wave, a cross-rack drain under guest dirtiers, cross-rack moves
 between busy racks and a bonnie TPM/IM round trip — and compares every
 field of every report (floats included, exactly) against
 ``tests/fixtures/equivalence.json``.
@@ -142,44 +142,6 @@ def _run_sharded_cluster() -> dict:
             "sharded engine diverged from monolithic on the fixture "
             "wave:\n    " + "\n    ".join(diffs[:20]))
     return mono
-
-
-def _run_sharded_parallel() -> dict:
-    """The same migration wave on two identical sharded clusters, one
-    drained inline and one with forked workers; asserts job outcomes,
-    makespan and byte ledgers are identical, then fixtures the (shared)
-    result.  On platforms without fork the parallel side degrades to
-    inline execution with identical semantics, so the fixture still
-    verifies."""
-    from repro.cluster import build_sharded_cluster
-
-    def run_wave(workers: str) -> dict:
-        cluster = build_sharded_cluster(nracks=2, hosts_per_rack=3,
-                                        vms_per_host=2, nblocks=512,
-                                        npages=64, max_concurrent=8,
-                                        workers=workers)
-        by_name = {domain.name: domain for domain in cluster.domains}
-        jobs = [cluster.submit(by_name[vm], dest)
-                for vm, dest in _SHARDED_MOVES]
-        if workers == "fork":
-            cluster.drain(jobs, nworkers=2)
-        else:
-            cluster.drain(jobs)
-            cluster.assert_conserved()
-        return {"reports": [_report_dict(job.report) for job in jobs],
-                "makespan": cluster.makespan(jobs),
-                "ledger": cluster.link_ledger()}
-
-    inline = run_wave("inline")
-    parallel = run_wave("fork")
-    diffs: list = []
-    _diff("parallel-vs-inline", json.loads(json.dumps(inline)),
-          json.loads(json.dumps(parallel)), diffs)
-    if diffs:
-        raise AssertionError(
-            "forked drain diverged from inline on the fixture wave:\n    "
-            + "\n    ".join(diffs[:20]))
-    return inline
 
 
 #: Guest write period of the cross-rack drain's dirtiers (sim seconds).
@@ -345,7 +307,6 @@ def scenarios() -> dict:
             lambda scheme=scheme: _run_scheme(scheme))
     table["fault-retry:incremental"] = _run_fault_retry
     table["cluster:sharded-vs-monolithic"] = _run_sharded_cluster
-    table["cluster:sharded-parallel-vs-inline"] = _run_sharded_parallel
     table["cluster:xrack-drain-dirtied"] = _run_xrack_drain
     table["cluster:xrack-busy-racks"] = _run_xrack_busy_racks
     table["roundtrip:bonnie-tpm-im"] = _run_bonnie_roundtrip
@@ -397,8 +358,13 @@ def verify(path: str, max_diffs: int = 20) -> int:
               f"scenario version {SCENARIO_VERSION}; re-capture needed")
         return 2
 
+    table = scenarios()
     failed = []
-    for name, thunk in scenarios().items():
+    # A fixture entry no scenario produces would otherwise pass unseen.
+    for name in sorted(set(fixture["scenarios"]) - set(table)):
+        print(f"FAIL {name}: in fixture file but no scenario produces it")
+        failed.append(name)
+    for name, thunk in table.items():
         expected = fixture["scenarios"].get(name)
         if expected is None:
             print(f"FAIL {name}: not in fixture file")
@@ -421,10 +387,10 @@ def verify(path: str, max_diffs: int = 20) -> int:
             print(f"PASS {name}")
 
     if failed:
-        print(f"\nEQUIVALENCE BROKEN: {len(failed)}/{len(fixture['scenarios'])} "
-              f"scenario(s) diverged: {', '.join(failed)}")
+        print(f"\nEQUIVALENCE BROKEN: {len(failed)} failure(s) over "
+              f"{len(table)} scenarios run: {', '.join(failed)}")
         return 1
-    print(f"\nAll {len(fixture['scenarios'])} scenarios bit-identical "
+    print(f"\nAll {len(table)} scenarios run, bit-identical "
           "to the reference fixtures.")
     return 0
 

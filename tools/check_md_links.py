@@ -4,9 +4,10 @@
 Scans every ``*.md`` file under the repository root (skipping ``.git``
 and other generated directories) for inline links and verifies that each
 relative target exists on disk, resolved against the linking file's
-directory.  External links (``http://``, ``https://``, ``mailto:``) and
-pure-anchor links (``#section``) are ignored; an anchor suffix on a file
-link is stripped before the existence check.
+directory.  External links (``http://``, ``https://``, ``mailto:``) are
+ignored.  An anchor (``#section`` alone, or ``file.md#section``) must
+name a heading of the target Markdown file, slugged the way GitHub
+slugs headings; anchors on non-Markdown targets are not checked.
 
 Exit status 0 when every link resolves, 1 otherwise (with one line per
 broken link: ``file:line: broken link -> target``).
@@ -27,6 +28,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(\s*<?([^)<>\s]+)>?(?:\s+\"[^\"]*\")?\s*\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
+HEADING_RE = re.compile(r"^ {0,3}#{1,6}\s+(.*?)\s*#*\s*$")
+
 
 def iter_markdown_files(root: Path):
     for path in sorted(root.rglob("*.md")):
@@ -46,21 +49,48 @@ def strip_fences(text: str) -> str:
     return "\n".join(out)
 
 
+def slug(heading: str) -> str:
+    """GitHub's anchor for a heading: link text kept, markup and
+    punctuation dropped, lower-cased, spaces turned into hyphens."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
+    text = re.sub(r"<[^>]+>", "", text)
+    text = re.sub(r"[^\w\- ]", "", text.lower())
+    return text.replace(" ", "-")
+
+
+def anchors(path: Path) -> set[str]:
+    """Every heading anchor of a Markdown file; repeated headings get
+    ``-1``, ``-2``, ... as on GitHub."""
+    seen: dict[str, int] = {}
+    out = set()
+    for line in strip_fences(path.read_text(encoding="utf-8")).splitlines():
+        match = HEADING_RE.match(line)
+        if match is None:
+            continue
+        base = slug(match.group(1))
+        count = seen.get(base, 0)
+        seen[base] = count + 1
+        out.add(base if count == 0 else f"{base}-{count}")
+    return out
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     errors = []
     text = strip_fences(path.read_text(encoding="utf-8"))
     for lineno, line in enumerate(text.splitlines(), start=1):
         for match in LINK_RE.finditer(line):
             target = match.group(1)
-            if target.startswith(EXTERNAL_PREFIXES) or target.startswith("#"):
+            if target.startswith(EXTERNAL_PREFIXES):
                 continue
-            target_path = target.split("#", 1)[0]
-            if not target_path:
-                continue
-            resolved = (path.parent / target_path).resolve()
+            target_path, _, anchor = target.partition("#")
+            resolved = (path.parent / target_path).resolve() \
+                if target_path else path
+            rel = path.relative_to(root)
             if not resolved.exists():
-                rel = path.relative_to(root)
                 errors.append(f"{rel}:{lineno}: broken link -> {target}")
+            elif anchor and resolved.suffix == ".md" \
+                    and anchor not in anchors(resolved):
+                errors.append(f"{rel}:{lineno}: broken anchor -> {target}")
     return errors
 
 
