@@ -101,7 +101,7 @@ class DeltaQueueMigration(MigrationScheme):
                                  self.destination.disk, dest_vbd,
                                  self.fwd, cfg)
         yield from streamer.stream(
-            np.arange(src_vbd.nblocks, dtype=np.int64), category="disk")
+            range(src_vbd.nblocks), category="disk")
         report.precopy_disk_ended_at = env.now
         tracer.end(disk_span)
 

@@ -57,7 +57,7 @@ class FreezeAndCopyMigration(MigrationScheme):
                                  self.destination.disk, dest_vbd,
                                  self.fwd, cfg)
         yield from streamer.stream(
-            np.arange(src_vbd.nblocks, dtype=np.int64),
+            range(src_vbd.nblocks),
             category="disk", limited=False)
         report.precopy_disk_ended_at = env.now
         tracer.end(disk_span)

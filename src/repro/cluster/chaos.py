@@ -16,7 +16,10 @@ asserts the properties that must survive **any** schedule:
    preserved tracking bitmap covers every block that still differs
    (recovered ⊇ true-pending: an incremental retry would miss nothing);
 4. **surrogates** — no domain is left stranded on a sharded cluster's
-   surrogate stand-in hosts.
+   surrogate stand-in hosts;
+5. **history** — no host ever took a domain while crashed
+   (:attr:`~repro.vm.host.Host.crashed_attaches`, counted over the
+   whole run, surrogates included).
 
 Both the monolithic (``build_cluster(wiring="rack")``) and sharded
 (``build_sharded_cluster``) stacks run the same schedule shape, so the
@@ -234,8 +237,15 @@ def _check_bitmaps(hosts, migrators) -> list[str]:
     return violations
 
 
+def _check_history(hosts) -> list[str]:
+    """No attach to a crashed host, at any point of the run."""
+    return [f"history: {host.name} took {host.crashed_attaches} "
+            f"domain(s) while crashed" for host in hosts
+            if host.crashed_attaches]
+
+
 def check_invariants(target, expected_ids: set[int]) -> list[str]:
-    """All four invariant families against a drained cluster.
+    """All five invariant families against a drained cluster.
 
     ``target`` is a :class:`~repro.cluster.testbed.ClusterBed` or a
     :class:`~repro.cluster.sharded.ShardedCluster`.
@@ -263,6 +273,9 @@ def check_invariants(target, expected_ids: set[int]) -> list[str]:
             audit_link_bytes(target.migrator.migrations))
     violations += _check_placement(hosts, schedulers, expected_ids)
     violations += _check_bitmaps(hosts, migrators)
+    surrogates = [surrogate for shard in getattr(target, "shards", ())
+                  for surrogate in shard.surrogates.values()]
+    violations += _check_history(list(hosts) + surrogates)
     return violations
 
 

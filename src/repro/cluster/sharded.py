@@ -50,7 +50,7 @@ from ..vm.domain import Domain
 from ..vm.host import Host
 from ..vm.memory import GuestMemory
 from .accounting import LinkAudit, audit_link_bytes
-from .scheduler import ClusterScheduler, MigrationJob
+from .scheduler import ClusterScheduler, JobFailure, MigrationJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -110,6 +110,9 @@ class ShardedCluster:
         #: One :class:`~repro.faults.FaultInjector` per shard after
         #: :meth:`inject_faults`, index-aligned with ``shards``.
         self.fault_injectors: list = []
+        #: The cluster-wide plan :meth:`inject_faults` split, kept so that
+        #: a surrogate built later replays its real host's crashes.
+        self._fault_plan = None
 
     # -- faults ------------------------------------------------------------
 
@@ -121,14 +124,17 @@ class ShardedCluster:
         on other racks' hosts are dropped; link-scoped specs — blackouts,
         degradations, partitions, flaps — are kept verbatim and match
         whatever links the shard topology actually has, including
-        surrogate replica fabric created later).  Shards with a
-        :class:`~repro.cluster.health.HealthMonitor` get it subscribed
-        to their injector's crash/restart feed.
+        surrogate replica fabric created later).  A surrogate replays
+        the time-triggered crashes of the host it stands in for, so a
+        migration to a crashed remote host fails as it would locally.
+        Shards with a :class:`~repro.cluster.health.HealthMonitor` get
+        it subscribed to their injector's crash/restart feed.
         """
         from ..faults import FaultInjector
 
         if self.fault_injectors:
             raise ReproError("faults already injected into this cluster")
+        self._fault_plan = plan
         for shard in self.shards:
             shard_plan = plan.narrowed_to(
                 host.name for host in shard.hosts)
@@ -137,7 +143,14 @@ class ShardedCluster:
             if shard.scheduler.health is not None:
                 shard.scheduler.health.attach(injector)
             self.fault_injectors.append(injector)
+            for surrogate in shard.surrogates.values():
+                self._mirror_crashes(injector, surrogate)
         return self.fault_injectors
+
+    def _mirror_crashes(self, injector, surrogate: Host) -> None:
+        injector.adopt_host(surrogate, [
+            spec for spec in self._fault_plan.crashes
+            if spec.host == surrogate.name])
 
     def surrogate_residents(self) -> list[Domain]:
         """Domains currently attached to a surrogate host (in flight to
@@ -249,6 +262,7 @@ class ShardedCluster:
             # known duplexes is a no-op, so this only wires the new ones).
             for key, duplex in topo.links.items():
                 injector.attach(duplex, hosts=key)
+            self._mirror_crashes(injector, surrogate)
         return surrogate
 
     def _submit_cross(self, domain: Domain, src_shard: ClusterShard,
@@ -275,12 +289,17 @@ class ShardedCluster:
                      dst_shard: ClusterShard, destination_name: str,
                      on_arrival: Optional[Callable[[Environment, Domain],
                                                    None]],
-                     source_host: Optional[Host] = None):
+                     source_host: Host):
         """Source-shard process: on commit, ship domain+VBD to the real
         destination via the engine's message queue."""
         yield job.process
         env = src_shard.env
-        if not job.succeeded:
+        surrogate = job.destination
+        domain_id = job.domain.domain_id
+        on_surrogate = (getattr(surrogate, "is_surrogate", False)
+                        and any(d.domain_id == domain_id
+                                for d in surrogate.domains))
+        if not job.succeeded and not (on_surrogate and source_host.crashed):
             # Nothing arrived on the far side; the failure is fully
             # contained in the source shard (job.error has the story).
             # A post-handover failure (partition mid-postcopy) leaves
@@ -288,33 +307,48 @@ class ShardedCluster:
             # left this shard, so roll the transplant back: re-home the
             # VM on its source host with the most complete disk copy
             # the shard holds.
-            surrogate = job.destination
-            domain_id = job.domain.domain_id
-            if (getattr(surrogate, "is_surrogate", False)
-                    and any(d.domain_id == domain_id
-                            for d in surrogate.domains)
-                    and source_host is not None):
+            if on_surrogate:
                 rolled, vbd = surrogate.detach_domain(domain_id)
-                source_host.attach_domain(rolled, vbd)
-                env.metrics.counter("cluster.cross_rack.rollbacks").inc()
-                env.tracer.instant(
-                    "xrack:rollback", category="cluster",
-                    domain=rolled.name, surrogate=destination_name,
-                    back_to=source_host.name)
+                self._roll_back(env, rolled, vbd, source_host,
+                                destination_name)
             self._live_cross.discard(id(job))
             self.engine.remove_source()
             return
-        domain_id = job.domain.domain_id
-        domain, vbd = job.destination.detach_domain(domain_id)
+        # Committed — or failed after the handover while the source is
+        # down, where a monolithic run leaves the VM on its destination
+        # too: ship it over.
+        domain, vbd = surrogate.detach_domain(domain_id)
         real_dest = dst_shard.host(destination_name)
         dst_clock = dst_shard.clock
 
+        def fail_arrival(src_env: Environment) -> None:
+            # Back in the source shard: the destination died before the
+            # VM arrived, so the VM goes home and the job fails as a
+            # handover to a dead host would.
+            self._roll_back(src_env, domain, vbd, source_host,
+                            destination_name)
+            if job.succeeded:
+                job.status = "failed"
+                job.error = MigrationError(
+                    f"{destination_name} was down when {domain.name} "
+                    "arrived")
+                job.failures.append(JobFailure(
+                    error_type="MigrationError", message=str(job.error),
+                    phase="transplant", attempt=job.attempts,
+                    at=src_env.now, destination=destination_name))
+                src_shard.scheduler._dead_letter(job)
+            self._live_cross.discard(id(job))
+            self.engine.remove_source()
+
         def transplant(dest_env: Environment) -> None:
+            if real_dest.crashed:
+                self.engine.send(src_shard.name, dest_env.now, fail_arrival)
+                return
             # Lamport-merge the generation clocks: new writes on the
             # destination must stamp strictly newer than everything the
             # migrated state carries.
-            floor = int(vbd._gen.max()) if vbd.nblocks else 0
-            mem_floor = int(domain.memory._gen.max())
+            floor = vbd.max_stamp()
+            mem_floor = domain.memory.max_stamp()
             dst_clock._next = max(dst_clock._next, floor + 1, mem_floor + 1)
             domain.env = dest_env
             domain.memory.clock = dst_clock
@@ -327,6 +361,17 @@ class ShardedCluster:
             self.engine.remove_source()
 
         self.engine.send(dst_shard.name, env.now, transplant)
+
+    @staticmethod
+    def _roll_back(env: Environment, domain: Domain, vbd, source_host: Host,
+                   destination_name: str) -> None:
+        """Re-home a cross-rack VM that never reached its destination on
+        its source host, with the disk copy it carries."""
+        source_host.attach_domain(domain, vbd)
+        env.metrics.counter("cluster.cross_rack.rollbacks").inc()
+        env.tracer.instant(
+            "xrack:rollback", category="cluster", domain=domain.name,
+            surrogate=destination_name, back_to=source_host.name)
 
     # -- bulk operations ---------------------------------------------------
 

@@ -120,7 +120,9 @@ class DiskPreCopier:
             tracking = self._fresh_bitmap()
             self.driver.start_tracking(TRACKING_NAME, tracking)
             if self.initial_indices is None:
-                indices = np.arange(vbd.nblocks, dtype=np.int64)
+                # The whole disk as a range: the streamer cuts it into
+                # chunk ranges, never one whole-disk index array.
+                indices = range(vbd.nblocks)
             else:
                 indices = np.asarray(self.initial_indices, dtype=np.int64)
 
@@ -130,7 +132,7 @@ class DiskPreCopier:
             started = self.env.now
             it_span = self.env.tracer.begin(f"iteration:{iteration}",
                                             category="iteration",
-                                            blocks=int(indices.size))
+                                            blocks=len(indices))
             stats = yield from self.streamer.stream(indices, category="disk",
                                                     limited=True)
             ended = self.env.now

@@ -84,6 +84,55 @@ def split_chunks(indices: np.ndarray, chunk_size: int) -> list[np.ndarray]:
     return chunks
 
 
+class ChunkRanges:
+    """The chunks :func:`split_chunks` would cut from ``arange(start, stop)``,
+    kept as bounds.
+
+    Chunk ``k`` becomes an index array only when it is read, so streaming
+    a whole disk (the first pre-copy iteration) never holds a whole-disk
+    index array.
+    """
+
+    __slots__ = ("start", "stop", "_count", "_base", "_extra")
+
+    #: Chunks per index array the iterator cuts views from.
+    BATCH = 256
+
+    def __init__(self, start: int, stop: int, chunk_size: int) -> None:
+        n = stop - start
+        self.start = start
+        self.stop = stop
+        self._count = (n + chunk_size - 1) // chunk_size
+        self._base, self._extra = divmod(n, max(self._count, 1))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if not 0 <= k < self._count:
+            raise IndexError(k)
+        lo = self.start + k * self._base + min(k, self._extra)
+        hi = lo + self._base + (k < self._extra)
+        return np.arange(lo, hi, dtype=np.int64)
+
+    def __iter__(self):
+        # Chunks are views of one index array per batch of chunks: as
+        # cheap as split_chunks' views, at batch-sized memory.
+        count, base, extra = self._count, self._base, self._extra
+        lo = self.start
+        for first in range(0, count, self.BATCH):
+            last = min(first + self.BATCH, count)
+            hi = lo + (last - first) * base + max(
+                0, min(last, extra) - first)
+            batch = np.arange(lo, hi, dtype=np.int64)
+            pos = 0
+            for k in range(first, last):
+                step = base + (k < extra)
+                yield batch[pos:pos + step]
+                pos += step
+            lo = hi
+
+
 class BlockStreamer:
     """Moves disk blocks source→destination with stage pipelining."""
 
@@ -113,7 +162,7 @@ class BlockStreamer:
         #: Chunks of the in-flight (or last) batch, in send order, plus how
         #: many the destination has confirmed written — so a failed batch
         #: can report exactly which blocks never landed.
-        self._chunks: list[np.ndarray] = []
+        self._chunks: "list[np.ndarray] | ChunkRanges" = []
         self._confirmed = 0
         #: Striped batches confirm out of send order; this per-chunk flag
         #: list replaces the prefix counter then (None on the single path).
@@ -133,12 +182,13 @@ class BlockStreamer:
         backoff).  Multifd: each stripe is FIFO but stripes interleave,
         so confirmation is tracked per chunk instead.
         """
+        chunks = self._chunks
         if self._confirmed_flags is not None:
-            pending = [chunk for chunk, done
-                       in zip(self._chunks, self._confirmed_flags)
-                       if not done]
+            pending = [chunks[k] for k, done
+                       in enumerate(self._confirmed_flags) if not done]
         else:
-            pending = self._chunks[self._confirmed:]
+            pending = [chunks[k]
+                       for k in range(self._confirmed, len(chunks))]
         if not pending:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(pending)
@@ -149,29 +199,43 @@ class BlockStreamer:
 
         ``yield from`` inside a process.  Completion means the destination
         has *written* every block, not merely that the source finished
-        sending.
+        sending.  ``indices`` is an index array, or a ``range`` of blocks
+        (the first pre-copy iteration's whole disk): a range is cut into
+        the same chunks as ``arange`` would be, as :class:`ChunkRanges`.
         """
-        indices = np.asarray(indices, dtype=np.int64)
         self._chunks = []
         self._confirmed = 0
         self._confirmed_flags = None
-        if indices.size == 0:
+        contiguous = isinstance(indices, range)
+        if not contiguous:
+            indices = np.asarray(indices, dtype=np.int64)
+        total = len(indices) if contiguous else int(indices.size)
+        if total == 0:
             return StreamStats()
 
         env = self.env
         cfg = self.config
         # Validate the whole batch once against both devices: every chunk
-        # below is a view of this one array, so the per-chunk export and
-        # import skip their own bounds reduce.
-        indices = self.src_vbd.validate_indices(indices)
-        self.dst_vbd.validate_indices(indices)
+        # below is a view of this one array (or a sub-range of this one
+        # range), so the per-chunk export and import skip their own bounds
+        # reduce.
+        if contiguous:
+            ends = np.array([indices[0], indices[-1]], dtype=np.int64)
+            self.src_vbd.validate_indices(ends)
+            self.dst_vbd.validate_indices(ends)
+            chunks = ChunkRanges(indices.start, indices.stop,
+                                 cfg.chunk_blocks)
+        else:
+            indices = self.src_vbd.validate_indices(indices)
+            self.dst_vbd.validate_indices(indices)
+            chunks = split_chunks(indices, cfg.chunk_blocks)
         block_size = self.src_vbd.block_size
         prio = cfg.migration_disk_priority
-        chunks = split_chunks(indices, cfg.chunk_blocks)
         self._chunks = chunks
         if self.multifd is not None and len(chunks) > 1:
             stats = yield from self._stream_striped(
-                chunks, category, limited, block_size, prio)
+                chunks, category, limited, block_size, prio, contiguous,
+                total)
             return stats
         ready: Store = Store(env, capacity=cfg.pipeline_depth)
 
@@ -179,9 +243,7 @@ class BlockStreamer:
             for chunk in chunks:
                 yield from self.src_disk.read(chunk.size * block_size,
                                               priority=prio)
-                stamps, data = self.src_vbd.export_blocks(chunk,
-                                                          validated=True)
-                yield ready.put(BlockDataMsg(chunk, stamps, data, block_size))
+                yield ready.put(self._export(chunk, contiguous, block_size))
 
         def sender(env):
             sent_bytes = 0
@@ -207,7 +269,8 @@ class BlockStreamer:
                 yield from self.dst_disk.write(msg.nblocks * block_size,
                                                priority=prio)
                 self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data,
-                                           validated=True)
+                                           validated=True,
+                                           stamp_offset=msg.stamp_offset)
                 self._confirmed += 1
                 if self.chunk_written is not None:
                     self.chunk_written(msg.indices)
@@ -216,11 +279,24 @@ class BlockStreamer:
         send_proc = env.process(sender(env), name="stream:send")
         write_proc = env.process(writer(env), name="stream:write")
         result = yield env.all_of([read_proc, send_proc, write_proc])
-        return StreamStats(units_sent=int(indices.size),
+        return StreamStats(units_sent=total,
                            bytes_sent=int(result[send_proc]))
 
+    def _export(self, chunk: np.ndarray, contiguous: bool,
+                block_size: int) -> BlockDataMsg:
+        """Read one chunk at the source into its wire message; a chunk of
+        a range also carries its stamps' run offset, if it has one."""
+        offset = None
+        if contiguous:
+            start = int(chunk[0])
+            offset = self.src_vbd.run_offset(start, start + chunk.size)
+        stamps, data = self.src_vbd.export_blocks(
+            chunk, validated=True, contiguous=contiguous)
+        return BlockDataMsg(chunk, stamps, data, block_size,
+                            stamp_offset=offset)
+
     def _stream_striped(self, chunks, category, limited, block_size,
-                        prio) -> Generator:
+                        prio, contiguous, total) -> Generator:
         """Multifd path: one shared reader fans chunks out round-robin to
         per-lane sender/writer pairs; a completion barrier joins them.
 
@@ -237,7 +313,8 @@ class BlockStreamer:
         cfg = self.config
         mfd = self.multifd
         n = mfd.nchannels
-        lanes = mfd.lanes(chunks)
+        # Lane ``i`` carries chunks ``i, i + n, ...`` (MultiFD.lanes).
+        counts = [len(range(lane, len(chunks), n)) for lane in range(n)]
         flags = self._confirmed_flags = [False] * len(chunks)
         buffers = [Store(env, capacity=cfg.pipeline_depth) for _ in range(n)]
 
@@ -245,15 +322,13 @@ class BlockStreamer:
             for k, chunk in enumerate(chunks):
                 yield from self.src_disk.read(chunk.size * block_size,
                                               priority=prio)
-                stamps, data = self.src_vbd.export_blocks(chunk,
-                                                          validated=True)
                 yield buffers[k % n].put(
-                    BlockDataMsg(chunk, stamps, data, block_size))
+                    self._export(chunk, contiguous, block_size))
 
         def sender(env, lane):
             chan = mfd.channels[lane]
             sent_bytes = 0
-            for _ in range(len(lanes[lane])):
+            for _ in range(counts[lane]):
                 msg = yield buffers[lane].get()
                 if self.delta is not None:
                     yield from self.delta.encode(env, msg)
@@ -270,12 +345,13 @@ class BlockStreamer:
 
         def writer(env, lane):
             chan = mfd.channels[lane]
-            for i in range(len(lanes[lane])):
+            for i in range(counts[lane]):
                 msg = yield chan.recv()
                 yield from self.dst_disk.write(msg.nblocks * block_size,
                                                priority=prio)
                 self.dst_vbd.import_blocks(msg.indices, msg.stamps, msg.data,
-                                           validated=True)
+                                           validated=True,
+                                           stamp_offset=msg.stamp_offset)
                 flags[lane + i * n] = True
                 if self.chunk_written is not None:
                     self.chunk_written(msg.indices)
@@ -291,7 +367,6 @@ class BlockStreamer:
         # writer has drained — no chunk may still be in flight.
         result = yield env.all_of([read_proc, *send_procs, *write_procs])
         sent_bytes = sum(int(result[proc]) for proc in send_procs)
-        total = sum(int(chunk.size) for chunk in chunks)
         return StreamStats(units_sent=total, bytes_sent=sent_bytes)
 
 

@@ -300,6 +300,26 @@ class FaultInjector:
         migrator.fault_injector = self
         return self
 
+    def adopt_host(self, host, crashes) -> None:
+        """Register ``host``, built after :meth:`inject`, and replay
+        ``crashes`` on it: the time-triggered crash specs of the host it
+        stands in for (a sharded cluster's surrogate).
+
+        Each crash keeps its original timeline: one already over is
+        skipped, and one under way takes effect now and restarts when
+        the original does.  Attach the host's links first, so the crash
+        cuts them too.
+        """
+        self._hosts[host.name] = host
+        now = self.env.now
+        for spec in crashes:
+            if spec.at is None:
+                continue
+            if spec.down_for is not None and spec.at + spec.down_for <= now:
+                continue
+            self.env.process(self._crash_later(spec, spec.at, None),
+                             name=f"fault:crash:{spec.host}")
+
     def detach(self) -> None:
         """Remove every fault hook, restoring the fault-free fast path."""
         for link, _tag in self._links:
@@ -419,12 +439,14 @@ class FaultInjector:
                                 up_time=spec.up_time)
 
     def _crash_later(self, spec: CrashSpec, at: float, key: tuple) -> Generator:
+        # Only a replayed crash (adopt_host) starts after its time.
+        late_by = max(0.0, self.env.now - at)
         if at > self.env.now:
             yield self.env.timeout(at - self.env.now)
-        self._apply_crash(spec)
+        self._apply_crash(spec, late_by)
         return None
 
-    def _apply_crash(self, spec: CrashSpec) -> None:
+    def _apply_crash(self, spec: CrashSpec, late_by: float = 0.0) -> None:
         host = self._hosts.get(spec.host)
         if host is not None:
             if hasattr(host, "crash"):
@@ -441,11 +463,12 @@ class FaultInjector:
         for listener in self.crash_listeners:
             listener(spec.host, self.env.now)
         if spec.down_for is not None:
-            self.env.process(self._restart_later(spec),
+            self.env.process(self._restart_later(spec,
+                                                 spec.down_for - late_by),
                              name=f"fault:restart:{spec.host}")
 
-    def _restart_later(self, spec: CrashSpec) -> Generator:
-        yield self.env.timeout(spec.down_for)
+    def _restart_later(self, spec: CrashSpec, after: float) -> Generator:
+        yield self.env.timeout(after)
         self._apply_restart(spec)
         return None
 

@@ -69,6 +69,11 @@ class BlockDataMsg(Message):
     #: Delta-encoded on-wire payload size; None = full content.  Stamped
     #: by :meth:`repro.net.delta.DeltaCache.encode`.
     encoded_nbytes: Optional[int] = None
+    #: Set when ``indices`` is contiguous and every stamp is its block
+    #: number plus this offset (a range-streamed chunk read from a compact
+    #: run, see :meth:`repro.storage.vbd.VirtualBlockDevice.run_offset`).
+    #: Simulation bookkeeping: it charges no wire bytes.
+    stamp_offset: Optional[int] = None
 
     @property
     def nblocks(self) -> int:

@@ -57,6 +57,9 @@ class Host:
         self._suspended_at_crash: set[int] = set()
         #: Events fired when the host comes back up.
         self._restart_waiters: list = []
+        #: Domains attached while :attr:`crashed` was set: a dead machine
+        #: must never take a VM (the chaos history invariant reads this).
+        self.crashed_attaches = 0
 
     # -- storage provisioning ------------------------------------------------
 
@@ -88,6 +91,8 @@ class Host:
         if domain.host is not None:
             raise MigrationError(
                 f"{domain} is still attached to {domain.host.name}; detach first")
+        if self.crashed:
+            self.crashed_attaches += 1
         driver = BackendDriver(self.env, self.disk, vbd,
                                tracking_op_overhead=tracking_op_overhead)
         self._domains[domain.domain_id] = domain

@@ -122,10 +122,14 @@ class GuestMemory:
     def snapshot(self) -> np.ndarray:
         return self._gen.copy()
 
+    def max_stamp(self) -> int:
+        """The newest generation any page holds (0 if none was written)."""
+        return int(self._gen.max())
+
     def identical_to(self, other: "GuestMemory") -> bool:
         if (self.npages, self.page_size) != (other.npages, other.page_size):
             return False
-        return bool(np.array_equal(self._gen, other._gen))
+        return bool(np.array_equal(self._gen, other.snapshot()))
 
     def _check_indices(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)

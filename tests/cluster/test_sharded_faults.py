@@ -1,12 +1,15 @@
 """Faults against the sharded engine: per-shard plan splitting, clean
-cross-rack failure, surrogate-transplant rollback, and fault windows
+cross-rack failure, surrogate-transplant rollback, surrogates that crash
+with their real hosts, the transplant's clock merge, and fault windows
 straddling the conservative lookahead boundary."""
 
 import pytest
 
 from repro.cluster import build_sharded_cluster, check_invariants
+from repro.cluster.chaos import ChaosConfig, run_chaos
 from repro.errors import ReproError
 from repro.faults import FaultPlan
+from repro.storage.vbd import SEGMENT_BLOCKS
 
 SMALL = dict(nblocks=256, npages=64)
 #: The engine's conservative window length (min inter-rack latency).
@@ -149,3 +152,97 @@ class TestLookaheadWindowBoundaries:
         assert job.status == "failed"
         assert domain.host.name == "host00"
         assert check_invariants(cluster, expected) == []
+
+
+class TestSurrogateCrashes:
+    """A surrogate faults like the host it stands in for, and no host
+    takes a VM while crashed."""
+
+    def test_chaos_seed_3_attaches_nothing_to_a_crashed_host(self):
+        # Before surrogates replayed crashes, host02 took vm-host05-0 at
+        # t=0.409 s and vm-host03-1 at t=0.428 s while crashed.
+        report = run_chaos(ChaosConfig(seed=3, mode="sharded"))
+        assert report.ok, report.summary()
+        crashed_host02 = [job for job in report.jobs
+                          if job.destination.name == "host02"]
+        assert crashed_host02
+        assert all(job.status == "failed" for job in crashed_host02)
+
+    def test_migration_to_a_crashed_remote_host_fails_at_the_source(self):
+        cluster = sharded()
+        expected = {d.domain_id for d in cluster.domains}
+        cluster.inject_faults(FaultPlan(send_timeout=0.05)
+                              .crash("host02", at=0.0))
+        domain = domain_on(cluster, "host00")
+        job = cluster.submit(domain, "host02")
+        cluster.drain([job])
+        assert job.status == "failed"
+        assert domain.host.name == "host00"
+        assert cluster.shards[0].surrogates["host02"].crashed
+        assert cluster.host("host02").crashed_attaches == 0
+        assert check_invariants(cluster, expected) == []
+
+    def test_surrogate_built_mid_crash_restarts_with_the_real_host(self):
+        cluster = sharded()
+        cluster.inject_faults(FaultPlan().crash("host02", at=0.0,
+                                                down_for=0.5))
+        cluster.run(until=0.2)
+        surrogate = cluster._surrogate(cluster.shards[0], cluster.shards[1],
+                                       "host02")
+        cluster.run(until=0.45)
+        assert surrogate.crashed
+        cluster.run(until=0.55)
+        assert not surrogate.crashed
+        assert not cluster.host("host02").crashed
+
+    def test_destination_down_on_arrival_sends_the_vm_home(self):
+        # The real host dies outside any plan, so the surrogate cannot
+        # know: the migration commits, and the transplant must refuse.
+        cluster = sharded()
+        expected = {d.domain_id for d in cluster.domains}
+        cluster.host("host02").crashed = True
+        domain = domain_on(cluster, "host00")
+        job = cluster.submit(domain, "host02")
+        cluster.drain([job])
+        assert job.status == "failed"
+        assert job.failure.phase == "transplant"
+        assert job in cluster.shards[0].scheduler.dead_letter
+        assert domain.host.name == "host00"
+        assert cluster.host("host02").crashed_attaches == 0
+        assert not cluster._live_cross
+        assert check_invariants(cluster, expected) == []
+
+    def test_history_invariant_flags_an_attach_to_a_crashed_host(self):
+        cluster = sharded()
+        expected = {d.domain_id for d in cluster.domains}
+        host = cluster.host("host00")
+        domain = domain_on(cluster, "host00")
+        _, vbd = host.detach_domain(domain.domain_id)
+        host.crashed = True
+        host.attach_domain(domain, vbd)
+        assert check_invariants(cluster, expected) == [
+            "history: host00 took 1 domain(s) while crashed"]
+
+
+class TestTransplantClock:
+    def test_clock_merges_above_a_prefilled_never_rewritten_disk(self):
+        # The moved disk is one compact run of stamps far above the
+        # destination rack's clock; the merge must still see them.  (A
+        # disk smaller than one segment would be stored dense.)
+        cluster = build_sharded_cluster(nracks=2, hosts_per_rack=2,
+                                        vms_per_host=1,
+                                        nblocks=SEGMENT_BLOCKS, npages=64)
+        domain = domain_on(cluster, "host00")
+        src_shard, dst_shard = cluster.shards
+        src_shard.clock.tick(10 ** 6)
+        vbd = cluster.host("host00").vbd_of(domain.domain_id)
+        first = vbd.write(0, vbd.nblocks)
+        assert dst_shard.clock.current < first
+        job = cluster.submit(domain, "host02")
+        cluster.drain([job])
+        assert job.succeeded
+        moved = cluster.host("host02").vbd_of(domain.domain_id)
+        image_max = int(moved.snapshot().max())
+        assert image_max == first + vbd.nblocks - 1 == moved.max_stamp()
+        assert dst_shard.clock.current > image_max
+        assert moved.write(0) > image_max

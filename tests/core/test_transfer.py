@@ -8,6 +8,7 @@ from repro.errors import StorageError
 from repro.net import Channel, Link
 from repro.sim import Environment
 from repro.storage import GenerationClock, PhysicalDisk, VirtualBlockDevice
+from repro.storage.vbd import SEGMENT_BLOCKS
 from repro.units import MB, MiB
 from repro.vm import GuestMemory
 
@@ -258,3 +259,86 @@ class TestStriping:
         assert stats.units_sent == 32
         assert mfd.total_bytes == 0
         assert chan.total_bytes == stats.bytes_sent
+
+
+class TestRangeStreaming:
+    """The first pre-copy iteration streams ``range(nblocks)``: the same
+    chunks, bytes and timeline as ``np.arange(nblocks)``, without a
+    whole-disk index array."""
+
+    #: Two segments and a partial third (smaller disks are dense).
+    NBLOCKS = 2 * SEGMENT_BLOCKS + 1000
+
+    def _streamer(self, env, nblocks, nchannels):
+        from repro.net import MultiFD
+
+        src, dst, sd, dd, _ = make_disk_pair(env, nblocks=nblocks)
+        src.write(0, nblocks)
+        src.write(37, 3)  # one dense segment among compact ones
+        chan = Channel(env, Link(env, 125 * MB, 0))
+        mfd = MultiFD(env, chan, nchannels) if nchannels > 1 else None
+        cfg = MigrationConfig(chunk_blocks=1000, multifd_channels=nchannels)
+        return (BlockStreamer(env, sd, src, dd, dst, chan, cfg, multifd=mfd),
+                src, dst)
+
+    def test_chunk_ranges_match_split_chunks(self):
+        from repro.core.transfer import ChunkRanges, split_chunks
+
+        for start, stop, size in [(0, 10, 3), (5, 1000, 7), (3, 70001, 256),
+                                  (0, 600, 1), (7, 8, 5)]:
+            ranges = ChunkRanges(start, stop, size)
+            expected = split_chunks(np.arange(start, stop), size)
+            assert len(ranges) == len(expected)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(ranges, expected))
+            assert all(np.array_equal(ranges[k], expected[k])
+                       for k in range(len(expected)))
+        with pytest.raises(IndexError):
+            ChunkRanges(0, 10, 3)[4]
+
+    @pytest.mark.parametrize("nchannels", [1, 3])
+    def test_range_streams_like_the_index_array(self, nchannels):
+        n = self.NBLOCKS
+        results = []
+        for indices in (np.arange(n), range(n)):
+            env = Environment()
+            streamer, src, dst = self._streamer(env, n, nchannels)
+
+            def proc(env, streamer=streamer, indices=indices):
+                return (yield from streamer.stream(indices))
+
+            stats = env.run(until=env.process(proc(env)))
+            assert dst.identical_to(src)
+            results.append((stats.units_sent, stats.bytes_sent, env.now))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("nchannels", [1, 3])
+    def test_unconfirmed_indices_stay_exact(self, nchannels):
+        n = self.NBLOCKS
+        pending = []
+        for indices in (np.arange(n), range(n)):
+            env = Environment()
+            streamer, src, dst = self._streamer(env, n, nchannels)
+
+            def proc(env, streamer=streamer, indices=indices):
+                return (yield from streamer.stream(indices))
+
+            env.process(proc(env))
+            env.run(until=1.0)  # mid-batch
+            unconfirmed = streamer.unconfirmed_indices()
+            landed = np.setdiff1d(np.arange(n), unconfirmed)
+            assert 0 < unconfirmed.size < n
+            assert np.array_equal(dst.export_blocks(landed)[0],
+                                  src.export_blocks(landed)[0])
+            pending.append(unconfirmed)
+        assert np.array_equal(pending[0], pending[1])
+
+    def test_out_of_range_range_rejected(self):
+        env = Environment()
+        streamer, _, _ = self._streamer(env, 100, 1)
+
+        def proc(env):
+            return (yield from streamer.stream(range(50, 101)))
+
+        with pytest.raises(StorageError):
+            env.run(until=env.process(proc(env)))
